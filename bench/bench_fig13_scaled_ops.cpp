@@ -25,6 +25,10 @@ constexpr std::size_t kPhysicalNodes = 144;
 // over all (scheme, scale) runs: the scaled-ops hot-path metric tracked
 // in BENCH_PR4.json onward (planning/GA time deliberately excluded).
 PerfAccumulator window_perf("fig13_scaled_ops.window");
+// The per-window pipeline end to end: traffic generation, MAC shaping
+// (LMAC carrier sensing, sALOHA slotting) and run_window. Provisioning,
+// GA planning and runner construction stay outside.
+PerfAccumulator e2e_perf("fig13_scaled_ops.e2e");
 
 const char* display_name(const std::string& scheme) {
   if (scheme == "standard-no-adr") return "LoRaWAN w/o ADR";
@@ -81,6 +85,7 @@ Result run(const std::string& scheme_name, std::size_t users,
       BaselineRegistry::instance().make(scheme_name, fig13_tuning(users));
   scheme.configure(deployment, network, rng);
 
+  const auto pipeline_begin = std::chrono::steady_clock::now();
   // Emulated duty-cycled users (paper Sec. 5.2.1): each physical node
   // hosts users/144 virtual users, each filling kUserUtilization of its
   // data rate's airtime.
@@ -102,13 +107,19 @@ Result run(const std::string& scheme_name, std::size_t users,
   sort_by_start(txs);
   Rng shape_rng = rng.substream("mac-shape");
   txs = scheme.shape_window(std::move(txs), shape_rng);
+  const std::chrono::duration<double> shaped_in =
+      std::chrono::steady_clock::now() - pipeline_begin;
 
   RunOptions options;
   options.capture_policy = scheme.capture;
   ScenarioRunner runner(deployment, seed, std::move(options));
   MetricsCollector metrics;
-  (void)window_perf.time(txs.size(),
-                         [&] { return runner.run_window(txs, metrics); });
+  const auto window_begin = std::chrono::steady_clock::now();
+  (void)runner.run_window(txs, metrics);
+  const std::chrono::duration<double> window_in =
+      std::chrono::steady_clock::now() - window_begin;
+  window_perf.add(txs.size(), window_in.count());
+  e2e_perf.add(txs.size(), (shaped_in + window_in).count());
 
   Result result;
   result.prr = metrics.total_prr();
@@ -137,16 +148,17 @@ Result run(const std::string& scheme_name, std::size_t users,
 }  // namespace
 
 int main() {
-  // Smoke mode (ALPHAWAN_BENCH_SMOKE=1): two scales, the two cheap
+  // Smoke mode (ALPHAWAN_BENCH_SMOKE=1): two scales, three cheap
   // schemes — enough windows to track receive-pipeline throughput in CI
-  // without paying for the GA planner at every scale.
+  // without paying for the GA planner at every scale. LMAC is among them
+  // so the e2e row sees carrier-sense shaping.
   const std::vector<std::size_t> scales =
       perf_smoke_mode() ? std::vector<std::size_t>{2000, 6000}
                         : std::vector<std::size_t>{2000, 4000, 6000, 8000,
                                                    10000, 12000};
   const std::vector<std::string> schemes = baselines_from_env(
       perf_smoke_mode()
-          ? std::vector<std::string>{"standard-no-adr", "standard"}
+          ? std::vector<std::string>{"standard-no-adr", "standard", "lmac"}
           : std::vector<std::string>{"standard-no-adr", "standard", "lmac",
                                      "cic", "saloha", "ss5g", "curvinglora",
                                      "random-cp", "alphawan"});
@@ -222,5 +234,6 @@ int main() {
     }
   }
   window_perf.report();
+  e2e_perf.report();
   return 0;
 }

@@ -35,9 +35,9 @@ namespace alphawan::bench {
 // docs/performance.md). A bench accumulates (packets, wall seconds) for a
 // named hot path and the recorder writes every record at process exit.
 //
-// Output path: $ALPHAWAN_BENCH_JSON if set (empty disables), else
-// BENCH_PR10.json in the working directory. Nothing is written when no
-// record was made, so benches that don't opt in stay side-effect free.
+// Output path: $ALPHAWAN_BENCH_JSON. Nothing is written when it is unset
+// or empty, or when no record was made, so a bench run never overwrites a
+// committed BENCH_PR<N>.json by accident.
 
 struct PerfRecord {
   std::string name;
@@ -64,13 +64,9 @@ class PerfRecorder {
   }
 
   ~PerfRecorder() {
-    if (records_.empty()) return;
-    std::string path = "BENCH_PR10.json";
-    if (const char* env = std::getenv("ALPHAWAN_BENCH_JSON")) {
-      path = env;
-    }
-    if (path.empty()) return;
-    std::FILE* out = std::fopen(path.c_str(), "w");
+    const char* path = std::getenv("ALPHAWAN_BENCH_JSON");
+    if (records_.empty() || path == nullptr || path[0] == '\0') return;
+    std::FILE* out = std::fopen(path, "w");
     if (out == nullptr) return;
     char stamp[32] = "unknown";
     const std::time_t now = std::time(nullptr);
@@ -102,8 +98,9 @@ class PerfRecorder {
 };
 
 // Accumulates wall time over the timed sections of one named hot path.
-// Destructor-free usage: call add() around each timed region, then
-// report() once (typically at the end of main).
+// Destructor-free usage: call time() around each timed region (or add()
+// a region timed elsewhere), then report() once (typically at the end of
+// main).
 class PerfAccumulator {
  public:
   explicit PerfAccumulator(std::string name) : name_(std::move(name)) {}
@@ -112,10 +109,15 @@ class PerfAccumulator {
   auto time(std::size_t packets, Fn&& fn) {
     const auto begin = std::chrono::steady_clock::now();
     auto result = fn();
-    const auto end = std::chrono::steady_clock::now();
-    packets_ += static_cast<double>(packets);
-    wall_seconds_ += std::chrono::duration<double>(end - begin).count();
+    add(packets, std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - begin)
+                     .count());
     return result;
+  }
+
+  void add(std::size_t packets, double wall_seconds) {
+    packets_ += static_cast<double>(packets);
+    wall_seconds_ += wall_seconds;
   }
 
   void report(int threads = default_thread_count()) const {

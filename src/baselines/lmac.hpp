@@ -13,6 +13,9 @@
 
 namespace alphawan {
 
+// LmacPolicy's constructor throws std::invalid_argument unless
+// max_defer >= 0, 0 <= min_gap <= max_gap, and sense_range is finite and
+// >= 0.
 struct LmacOptions {
   // Maximum total deferral before a node gives up waiting and transmits
   // anyway (regulatory/application latency bound).
@@ -30,8 +33,7 @@ struct LmacOptions {
 class LmacPolicy final : public NodeMacPolicy {
  public:
   explicit LmacPolicy(LmacOptions options = {},
-                      StandardLorawanOptions node_side = {})
-      : options_(options), node_side_(node_side) {}
+                      StandardLorawanOptions node_side = {});
 
   [[nodiscard]] std::string_view name() const override { return "lmac"; }
   void configure(Deployment& deployment, Network& network,

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <stdexcept>
 
 #include "sim/traffic.hpp"
 
@@ -172,6 +174,63 @@ TEST(Lmac, DeferralBounded) {
   for (const auto& tx : scheduled) {
     EXPECT_LE(tx.start, Seconds{2.0 + 1e-9});
   }
+}
+
+TEST(Lmac, RejectsOptionsThatBreakThePolicy) {
+  const auto rejects = [](auto&& mutate) {
+    LmacOptions options;
+    mutate(options);
+    EXPECT_THROW(LmacPolicy{options}, std::invalid_argument);
+  };
+  // A negative max_defer would skip carrier sensing and move every packet
+  // earlier than it was generated.
+  rejects([](LmacOptions& o) { o.max_defer = Seconds{-0.1}; });
+  rejects([](LmacOptions& o) { o.min_gap = Seconds{-1e-3}; });
+  rejects([](LmacOptions& o) {
+    o.min_gap = Seconds{40e-3};
+    o.max_gap = Seconds{30e-3};
+  });
+  rejects([](LmacOptions& o) { o.sense_range = Meters{-1.0}; });
+  rejects([](LmacOptions& o) {
+    o.sense_range = Meters{std::numeric_limits<double>::infinity()};
+  });
+  rejects([](LmacOptions& o) {
+    o.sense_range = Meters{std::numeric_limits<double>::quiet_NaN()};
+  });
+  try {
+    LmacOptions options;
+    options.max_defer = Seconds{-1.0};
+    (void)LmacPolicy(options);
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "LmacPolicy: max_defer must be >= 0");
+  }
+}
+
+TEST(Lmac, AcceptsBoundaryOptions) {
+  // The defaults, and every documented boundary, construct unchanged.
+  const LmacPolicy defaults;
+  EXPECT_EQ(defaults.options().max_defer, Seconds{5.0});
+  LmacOptions options;
+  options.max_defer = Seconds{0.0};
+  options.min_gap = Seconds{0.0};
+  options.max_gap = Seconds{0.0};
+  options.sense_range = Meters{0.0};
+  EXPECT_NO_THROW(LmacPolicy{options});
+  // max_defer = 0: nothing is ever deferred.
+  BaselineFixture f;
+  NodeRadioConfig cfg;
+  cfg.channel = f.deployment.spectrum().grid_channel(0);
+  std::vector<EndNode*> nodes;
+  for (int i = 0; i < 3; ++i) {
+    nodes.push_back(&f.network->add_node(f.deployment.next_node_id(),
+                                         Point{Meters{500}, Meters{500}}, cfg));
+  }
+  PacketIdSource ids;
+  Rng rng(11);
+  const auto scheduled = LmacPolicy(options).shape_window(
+      concurrent_burst(nodes, Seconds{1.0}, ids), rng);
+  for (const auto& tx : scheduled) EXPECT_EQ(tx.start, Seconds{1.0});
 }
 
 TEST(Cic, ResolvesSmallCollisions) {
