@@ -4,6 +4,7 @@
 
 #include <deque>
 #include <string>
+#include <unordered_map>
 
 #include "net/adr.hpp"
 #include "net/end_node.hpp"
@@ -36,6 +37,9 @@ class Network {
   [[nodiscard]] NetworkServer& server() { return server_; }
   [[nodiscard]] const NetworkServer& server() const { return server_; }
 
+  // Lookup by id; with duplicate ids, the first device added wins.
+  // find_node is O(1) through an index kept by add_node, the only way a
+  // node enters the network.
   [[nodiscard]] Gateway* find_gateway(GatewayId id);
   [[nodiscard]] EndNode* find_node(NodeId id);
   [[nodiscard]] const Gateway* find_gateway(GatewayId id) const;
@@ -55,6 +59,8 @@ class Network {
   NetworkServer server_;
   std::deque<Gateway> gateways_;
   std::deque<EndNode> nodes_;
+  // Node id -> index in nodes_ of the first node added with that id.
+  std::unordered_map<NodeId, std::size_t> node_index_;
 };
 
 }  // namespace alphawan

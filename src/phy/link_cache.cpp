@@ -1,5 +1,9 @@
 #include "phy/link_cache.hpp"
 
+#include <bit>
+#include <stdexcept>
+#include <string>
+
 #include "common/rng.hpp"
 
 namespace alphawan {
@@ -16,8 +20,8 @@ std::uint32_t LinkCache::column_of(GatewayId id) const {
 }
 
 std::uint32_t LinkCache::row_of(NodeId node) const {
-  const auto it = row_of_.find(node);
-  return it == row_of_.end() ? kInvalidRow : it->second;
+  const auto it = slot_of_.find(node);
+  return it == slot_of_.end() ? kInvalidRow : it->second.row;
 }
 
 LinkGain LinkCache::compute_gain(const Column& column, NodeId node,
@@ -70,51 +74,55 @@ std::size_t LinkCache::upsert_gateway(GatewayId id, std::uint64_t rx_key,
 }
 
 std::uint32_t LinkCache::ensure_row(NodeId node, const Point& origin) {
-  const auto it = row_of_.find(node);
-  if (it != row_of_.end()) {
-    const std::uint32_t row = it->second;
-    if (row_origin_[row] == origin) return row;
-    // Same id, new position: recompute the row in place. Candidate ranges
-    // may shrink or grow, so the flat layout is rebuilt lazily.
-    row_origin_[row] = origin;
-    for (auto& column : columns_) {
-      column.gains[row] = compute_gain(column, node, origin);
-    }
-    candidates_valid_ = false;
-    return row;
-  }
-
-  const auto row = static_cast<std::uint32_t>(row_origin_.size());
-  row_node_.push_back(node);
-  row_origin_.push_back(origin);
-  row_of_.emplace(node, row);
-  rejected_.erase(node);
+  NodeSlot& slot = slot_of_[node];
+  if (slot.row != kInvalidRow) return refresh_row(slot.row, node, origin);
   for (auto& column : columns_) {
     column.gains.push_back(compute_gain(column, node, origin));
   }
-  if (candidates_valid_) append_candidates_for_row(row);
+  return append_row(slot, node, origin);
+}
+
+std::uint32_t LinkCache::refresh_row(std::uint32_t row, NodeId node,
+                                     const Point& origin) {
+  if (row_origin_[row] == origin) return row;
+  // Same id, new position: recompute the row in place. Its candidates may
+  // change, so the candidate layout is rebuilt lazily.
+  row_origin_[row] = origin;
+  for (auto& column : columns_) {
+    column.gains[row] = compute_gain(column, node, origin);
+  }
+  candidates_valid_ = false;
   return row;
+}
+
+std::uint32_t LinkCache::append_row(NodeSlot& slot, NodeId node,
+                                    const Point& origin) {
+  slot.row = static_cast<std::uint32_t>(row_origin_.size());
+  row_node_.push_back(node);
+  row_origin_.push_back(origin);
+  if (candidates_valid_) append_candidates_for_row(slot.row);
+  return slot.row;
 }
 
 std::uint32_t LinkCache::ensure_row_if_audible(NodeId node, const Point& origin,
                                                Dbm floor, Dbm power_bound) {
-  if (row_of_.contains(node)) {
+  const double threshold = audible_threshold(floor, power_bound);
+  NodeSlot& slot = slot_of_[node];
+  if (slot.row != kInvalidRow) {
     // Already materialized: take the ensure_row refresh path. The row stays
     // resident even if it has drifted inaudible — its candidate list just
     // goes empty, which is equally cheap in the fan-out.
-    return ensure_row(node, origin);
+    return refresh_row(slot.row, node, origin);
   }
-  const auto memo = rejected_.find(node);
-  if (memo != rejected_.end()) {
-    const Rejection& r = memo->second;
+  if (slot.rejection != kInvalidRow) {
+    const Rejection& r = rejections_[slot.rejection];
     if (r.origin == origin && r.epoch == structure_epoch_ &&
-        r.floor == floor && r.power_bound == power_bound) {
+        r.threshold == threshold) {
       return kInvalidRow;
     }
   }
   // Probe every column into scratch, materializing only on an audible hit
   // (so the probe's work is not thrown away when the node joins).
-  const double threshold = audible_threshold(floor, power_bound);
   probe_gains_.clear();
   probe_gains_.reserve(columns_.size());
   bool audible = false;
@@ -125,18 +133,18 @@ std::uint32_t LinkCache::ensure_row_if_audible(NodeId node, const Point& origin,
     probe_gains_.push_back(g);
   }
   if (!audible) {
-    rejected_[node] = Rejection{origin, structure_epoch_, floor, power_bound};
+    if (slot.rejection == kInvalidRow) {
+      slot.rejection = static_cast<std::uint32_t>(rejections_.size());
+      rejections_.emplace_back();
+    }
+    rejections_[slot.rejection] =
+        Rejection{origin, structure_epoch_, threshold};
     return kInvalidRow;
   }
-  const auto row = static_cast<std::uint32_t>(row_origin_.size());
-  row_node_.push_back(node);
-  row_origin_.push_back(origin);
-  row_of_.emplace(node, row);
   for (std::size_t col = 0; col < columns_.size(); ++col) {
     columns_[col].gains.push_back(probe_gains_[col]);
   }
-  if (candidates_valid_) append_candidates_for_row(row);
-  return row;
+  return append_row(slot, node, origin);
 }
 
 double LinkCache::audible_threshold(Dbm floor, Dbm power_bound) const {
@@ -151,23 +159,42 @@ double LinkCache::candidate_threshold() const {
 
 void LinkCache::append_candidates_for_row(std::uint32_t row) {
   const double threshold = candidate_threshold();
-  const auto begin = static_cast<std::uint32_t>(candidate_flat_.size());
-  for (std::uint32_t col = 0; col < columns_.size(); ++col) {
+  const auto is_candidate = [&](std::uint32_t col) {
     const LinkGain& g = columns_[col].gains[row];
-    if (g.antenna_gain.value() - g.path_loss.value() >= threshold) {
-      candidate_flat_.push_back(col);
+    return g.antenna_gain.value() - g.path_loss.value() >= threshold;
+  };
+  const auto columns = static_cast<std::uint32_t>(columns_.size());
+  if (columns <= kMaxMaskColumns) {
+    std::uint64_t mask = 0;
+    for (std::uint32_t col = 0; col < columns; ++col) {
+      if (is_candidate(col)) mask |= std::uint64_t{1} << col;
     }
+    candidate_mask_.push_back(mask);
+    return;
+  }
+  const auto begin = static_cast<std::uint32_t>(candidate_flat_.size());
+  for (std::uint32_t col = 0; col < columns; ++col) {
+    if (is_candidate(col)) candidate_flat_.push_back(col);
   }
   candidate_range_.emplace_back(
       begin, static_cast<std::uint32_t>(candidate_flat_.size()));
 }
 
-void LinkCache::rebuild_candidates(Dbm floor, Dbm power_bound) {
+void LinkCache::ensure_candidates(Dbm floor, Dbm power_bound) {
+  if (candidates_valid_ && floor == candidate_floor_ &&
+      power_bound == candidate_power_bound_) {
+    return;
+  }
   candidate_floor_ = floor;
   candidate_power_bound_ = power_bound;
+  candidate_mask_.clear();
   candidate_flat_.clear();
   candidate_range_.clear();
-  candidate_range_.reserve(row_origin_.size());
+  if (columns_.size() <= kMaxMaskColumns) {
+    candidate_mask_.reserve(row_origin_.size());
+  } else {
+    candidate_range_.reserve(row_origin_.size());
+  }
   candidates_valid_ = true;
   for (std::uint32_t row = 0; row < row_origin_.size(); ++row) {
     append_candidates_for_row(row);
@@ -177,9 +204,14 @@ void LinkCache::rebuild_candidates(Dbm floor, Dbm power_bound) {
 std::span<const std::uint32_t> LinkCache::candidate_columns(std::uint32_t row,
                                                             Dbm floor,
                                                             Dbm power_bound) {
-  if (!candidates_valid_ || floor != candidate_floor_ ||
-      power_bound != candidate_power_bound_) {
-    rebuild_candidates(floor, power_bound);
+  ensure_candidates(floor, power_bound);
+  if (columns_.size() <= kMaxMaskColumns) {
+    candidate_decoded_.clear();
+    for (std::uint64_t m = candidate_mask_[row]; m != 0; m &= m - 1) {
+      candidate_decoded_.push_back(
+          static_cast<std::uint32_t>(std::countr_zero(m)));
+    }
+    return candidate_decoded_;
   }
   const auto [begin, end] = candidate_range_[row];
   return {candidate_flat_.data() + begin, end - begin};
@@ -187,11 +219,13 @@ std::span<const std::uint32_t> LinkCache::candidate_columns(std::uint32_t row,
 
 std::uint64_t LinkCache::candidate_mask(std::uint32_t row, Dbm floor,
                                         Dbm power_bound) {
-  std::uint64_t mask = 0;
-  for (const std::uint32_t col : candidate_columns(row, floor, power_bound)) {
-    mask |= std::uint64_t{1} << col;
+  if (columns_.size() > kMaxMaskColumns) {
+    throw std::logic_error("LinkCache::candidate_mask: " +
+                           std::to_string(columns_.size()) +
+                           " columns do not fit a 64-bit mask");
   }
-  return mask;
+  ensure_candidates(floor, power_bound);
+  return candidate_mask_[row];
 }
 
 }  // namespace alphawan

@@ -18,9 +18,12 @@
 // to fall below the floor for every possible draw, so event lists are
 // unchanged.
 //
-// Mutation (upsert_gateway / ensure_row) is not thread-safe; the runner
-// performs all registration in a serial prepass and the parallel gateway
-// fan-out only reads.
+// A LinkCache is not internally synchronized. The runner registers rows
+// in a per-window prepass that runs one task per slice of a
+// ShardedLinkCache: a slice task mutates only its own slice (and its own
+// shard scratch), and reads nothing shared but the stateless ChannelModel
+// and the read-only gateway antenna functors, so slices register
+// concurrently. The parallel gateway fan-out that follows only reads.
 //
 // For city-scale worlds the cache is partitioned: a ShardedLinkCache holds
 // one independent slice per spatial shard, each covering a subset of the
@@ -77,8 +80,9 @@ class LinkCache {
   // candidate_columns prunes against (so a rejected node has no candidate
   // columns in this cache and skipping it drops no events). Returns
   // kInvalidRow on rejection; rejections are memoized per (origin,
-  // column-structure) so steady-state windows don't re-probe. A row that
-  // already exists is refreshed like ensure_row and kept resident.
+  // column-structure, audibility bound) so steady-state windows don't
+  // re-probe. A row that already exists is refreshed like ensure_row and
+  // kept resident. Either way the probe costs one hash lookup.
   static constexpr std::uint32_t kInvalidRow = ~0U;
   // ALPHAWAN-LINT-ALLOW(units-swappable-pair: (floor, power_bound) is
   // floor-first at every audibility call site, as below)
@@ -108,18 +112,23 @@ class LinkCache {
 
   // Columns whose best-case received power — tx power <= `power_bound`,
   // fading up to kNormalTailSigmas * fast_fading_sigma, plus a 1 dB slack
-  // absorbing floating-point reassociation — can clear `floor` from `row`.
-  // Built lazily for the (floor, power_bound) in use and kept incrementally
-  // as rows are added; any gateway change rebuilds from scratch.
+  // absorbing floating-point reassociation — can clear `floor` from `row`,
+  // in ascending order. Built lazily for the (floor, power_bound) in use
+  // and kept incrementally as rows are added; any gateway change rebuilds
+  // from scratch. Up to kMaxMaskColumns columns the set is stored only as
+  // the row's candidate_mask and decoded into scratch here, so the span is
+  // valid until the next call on this cache.
   // ALPHAWAN-LINT-ALLOW(units-swappable-pair: (floor, power_bound) is
   // floor-first at every audibility call site)
   [[nodiscard]] std::span<const std::uint32_t> candidate_columns(
       std::uint32_t row, Dbm floor, Dbm power_bound);
 
-  // candidate_columns as a bitmask (bit c == column c). Only meaningful
-  // when column_count() <= 64 — the dense-deployment fast path that lets
-  // the runner test candidacy with one AND instead of materializing
-  // per-column transmission lists.
+  // candidate_columns as a bitmask (bit c == column c): the stored form up
+  // to kMaxMaskColumns columns, so this is a load. Throws std::logic_error
+  // beyond that. The mask is the dense-deployment fast path that lets the
+  // runner test candidacy with one AND instead of materializing per-column
+  // transmission lists.
+  static constexpr std::size_t kMaxMaskColumns = 64;
   // ALPHAWAN-LINT-ALLOW(units-swappable-pair: (floor, power_bound) is
   // floor-first at every audibility call site)
   [[nodiscard]] std::uint64_t candidate_mask(std::uint32_t row, Dbm floor,
@@ -135,8 +144,31 @@ class LinkCache {
     std::vector<LinkGain> gains;  // indexed by row
   };
 
+  // What the cache knows about one probed transmitter id: its resident
+  // row, or the index of its rejection memo in rejections_. Kept to eight
+  // bytes so the map node of a resident row is as small as a bare index.
+  // An id owns at most one memo for the cache's lifetime; once the id is
+  // resident its memo is never read again.
+  struct NodeSlot {
+    std::uint32_t row = kInvalidRow;
+    std::uint32_t rejection = kInvalidRow;
+  };
+  // Rejection memo for ensure_row_if_audible: valid while the node's
+  // origin, the column structure, and the audibility threshold all match.
+  struct Rejection {
+    Point origin{};
+    std::uint64_t epoch = 0;
+    double threshold = 0.0;
+  };
+
   [[nodiscard]] LinkGain compute_gain(const Column& column, NodeId node,
                                       const Point& origin);
+  // Recompute a resident row in place if `origin` moved; returns `row`.
+  std::uint32_t refresh_row(std::uint32_t row, NodeId node,
+                            const Point& origin);
+  // Register `node` as a new row in `slot`, once every column's gains
+  // vector has been extended by the row's entry. Returns the row index.
+  std::uint32_t append_row(NodeSlot& slot, NodeId node, const Point& origin);
   // Static-gain threshold below which a (row, column) pair can never clear
   // `floor` for tx powers up to `power_bound` — the shared bound behind
   // both candidate pruning and audibility gating.
@@ -145,9 +177,10 @@ class LinkCache {
   [[nodiscard]] double audible_threshold(Dbm floor, Dbm power_bound) const;
   [[nodiscard]] double candidate_threshold() const;
   void append_candidates_for_row(std::uint32_t row);
+  // Rebuild the candidate layout unless it is valid for this bound.
   // ALPHAWAN-LINT-ALLOW(units-swappable-pair: (floor, power_bound) is
   // floor-first at every audibility call site)
-  void rebuild_candidates(Dbm floor, Dbm power_bound);
+  void ensure_candidates(Dbm floor, Dbm power_bound);
 
   ChannelModel* model_;
   std::vector<Column> columns_;
@@ -159,28 +192,22 @@ class LinkCache {
   std::vector<Point> row_origin_;
   // ALPHAWAN-LINT-ALLOW(determinism-unordered-member: keyed lookups only;
   // all iteration runs over the row_node_/row_origin_ vectors)
-  std::unordered_map<NodeId, std::uint32_t> row_of_;
-
-  // Rejection memo for ensure_row_if_audible: valid while the node's
-  // origin, the column structure, and the audibility bound all match.
-  struct Rejection {
-    Point origin{};
-    std::uint64_t epoch = 0;
-    Dbm floor{0.0};
-    Dbm power_bound{0.0};
-  };
-  // ALPHAWAN-LINT-ALLOW(determinism-unordered-member: memo is probed per
-  // node id and never iterated, so its order cannot reach any digest)
-  std::unordered_map<NodeId, Rejection> rejected_;
+  std::unordered_map<NodeId, NodeSlot> slot_of_;
+  std::vector<Rejection> rejections_;
   std::uint64_t structure_epoch_ = 0;
   std::vector<LinkGain> probe_gains_;  // scratch for the audibility probe
 
-  // Flat candidate storage: per-row [begin, end) ranges into one vector.
+  // Candidate storage, one layout at a time: a per-row bitmask up to
+  // kMaxMaskColumns columns (8 bytes a row), per-row [begin, end) ranges
+  // into one flat vector beyond that. Every column change invalidates it,
+  // so the layout always matches column_count().
   bool candidates_valid_ = false;
   Dbm candidate_floor_{0.0};
   Dbm candidate_power_bound_{0.0};
+  std::vector<std::uint64_t> candidate_mask_;
   std::vector<std::uint32_t> candidate_flat_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> candidate_range_;
+  std::vector<std::uint32_t> candidate_decoded_;  // candidate_columns scratch
 };
 
 // A set of independent LinkCache slices over one channel model, one per

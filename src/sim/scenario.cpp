@@ -83,67 +83,81 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
     sc.shards[home].tasks.push_back(t);
   }
 
-  // Serial prepass, one pass per shard: register every audible transmitter
-  // row with the shard's LinkCache slice and record its candidate columns,
-  // so a gateway task walks only transmissions that could plausibly clear
-  // its prune floor. The audibility gate uses exactly the candidate bound,
-  // so a transmitter skipped by a slice has no candidate columns there and
-  // no event is lost; ascending tx order is preserved per gateway, so every
+  // Prepass, one task per shard: register every audible transmitter row
+  // with the shard's LinkCache slice and record its candidate columns, so
+  // a gateway task walks only transmissions that could plausibly clear its
+  // prune floor. The audibility gate uses exactly the candidate bound, so
+  // a transmitter skipped by a slice has no candidate columns there and no
+  // event is lost; ascending tx order is preserved per gateway, so every
   // event list is identical to the monolithic loop's (docs/sharding.md).
+  // A shard task writes only its own slice and ShardScratch and reads
+  // nothing shared but txs, the layout, the stateless ChannelModel and the
+  // read-only gateway antenna functors, so the slices run concurrently;
+  // the counters are summed in shard order after the region. The
+  // invariant checker's observer protocol is sequential, so an attached
+  // checker forces both regions below serial.
+  const int threads = invariants_ != nullptr ? 1 : options_.threads;
+  parallel_for(
+      shards,
+      [&](std::size_t s) {
+        auto& sh = sc.shards[s];
+        LinkCache& slice = caches.slice(s);
+        // Candidacy is recorded per transmission as a column bitmask when
+        // the slice fits in 64 gateways (one AND per (tx, gateway) pair in
+        // the fan-out); larger slices fall back to materialized per-column
+        // transmission lists. Both paths visit transmissions in ascending
+        // index order per gateway, so event lists are identical either way.
+        sh.use_mask = slice.column_count() <= LinkCache::kMaxMaskColumns;
+        sh.boundary_rows = 0;
+        sh.row_of_tx.resize(txs.size());
+        if (sh.use_mask) {
+          sh.tx_mask.resize(txs.size());
+        } else {
+          if (sh.gw_txs.size() < slice.column_count()) {
+            sh.gw_txs.resize(slice.column_count());
+          }
+          for (auto& list : sh.gw_txs) list.clear();
+        }
+        for (std::size_t i = 0; i < txs.size(); ++i) {
+          const auto& tx = txs[i];
+          // Out-of-spec tx power: the candidate bound does not cover it, so
+          // register and consider the transmission at every gateway.
+          const bool in_spec = tx.tx_power <= kMaxTxPower;
+          const std::uint32_t row =
+              in_spec ? slice.ensure_row_if_audible(tx.node, tx.origin, floor,
+                                                    kMaxTxPower)
+                      : slice.ensure_row(tx.node, tx.origin);
+          sh.row_of_tx[i] = row;
+          if (row != LinkCache::kInvalidRow &&
+              layout.shard_of(tx.origin) != static_cast<int>(s)) {
+            ++sh.boundary_rows;
+          }
+          if (sh.use_mask) {
+            sh.tx_mask[i] =
+                row == LinkCache::kInvalidRow ? 0
+                : in_spec ? slice.candidate_mask(row, floor, kMaxTxPower)
+                          : ~std::uint64_t{0};
+            continue;
+          }
+          if (row == LinkCache::kInvalidRow) continue;
+          if (in_spec) {
+            for (const std::uint32_t col :
+                 slice.candidate_columns(row, floor, kMaxTxPower)) {
+              sh.gw_txs[col].push_back(static_cast<std::uint32_t>(i));
+            }
+          } else {
+            for (std::uint32_t col = 0; col < slice.column_count(); ++col) {
+              sh.gw_txs[col].push_back(static_cast<std::uint32_t>(i));
+            }
+          }
+        }
+      },
+      threads);
   shard_stats_ = ShardWindowStats{};
   shard_stats_.shards = shard_count;
   for (std::size_t s = 0; s < shards; ++s) {
-    auto& sh = sc.shards[s];
-    LinkCache& slice = caches.slice(s);
-    // Candidacy is recorded per transmission as a column bitmask when the
-    // slice fits in 64 gateways (one AND per (tx, gateway) pair in the
-    // fan-out); larger slices fall back to materialized per-column
-    // transmission lists. Both paths visit transmissions in ascending
-    // index order per gateway, so event lists are identical either way.
-    sh.use_mask = slice.column_count() <= 64;
-    sh.row_of_tx.resize(txs.size());
-    if (sh.use_mask) {
-      sh.tx_mask.resize(txs.size());
-    } else {
-      if (sh.gw_txs.size() < slice.column_count()) {
-        sh.gw_txs.resize(slice.column_count());
-      }
-      for (auto& list : sh.gw_txs) list.clear();
-    }
-    for (std::size_t i = 0; i < txs.size(); ++i) {
-      const auto& tx = txs[i];
-      // Out-of-spec tx power: the candidate bound does not cover it, so
-      // register and consider the transmission at every gateway.
-      const bool in_spec = tx.tx_power <= kMaxTxPower;
-      const std::uint32_t row =
-          in_spec ? slice.ensure_row_if_audible(tx.node, tx.origin, floor,
-                                                kMaxTxPower)
-                  : slice.ensure_row(tx.node, tx.origin);
-      sh.row_of_tx[i] = row;
-      if (row != LinkCache::kInvalidRow &&
-          layout.shard_of(tx.origin) != static_cast<int>(s)) {
-        ++shard_stats_.boundary_rows;
-      }
-      if (sh.use_mask) {
-        sh.tx_mask[i] =
-            row == LinkCache::kInvalidRow ? 0
-            : in_spec ? slice.candidate_mask(row, floor, kMaxTxPower)
-                      : ~std::uint64_t{0};
-        continue;
-      }
-      if (row == LinkCache::kInvalidRow) continue;
-      if (in_spec) {
-        for (const std::uint32_t col :
-             slice.candidate_columns(row, floor, kMaxTxPower)) {
-          sh.gw_txs[col].push_back(static_cast<std::uint32_t>(i));
-        }
-      } else {
-        for (std::uint32_t col = 0; col < slice.column_count(); ++col) {
-          sh.gw_txs[col].push_back(static_cast<std::uint32_t>(i));
-        }
-      }
-    }
-    shard_stats_.resident_rows += slice.row_count();
+    shard_stats_.boundary_rows += sc.shards[s].boundary_rows;
+    shard_stats_.resident_rows += caches.slice(s).row_count();
   }
   if (sc.events.size() < tasks.size()) sc.events.resize(tasks.size());
   const double fading_sigma = channel.config().fast_fading_sigma_db.value();
@@ -167,14 +181,11 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   // candidate transmission list and touches only its own gateway (the link
   // cache slices and scratch arenas are read-only / per-task here). Yields
   // land in shard-local staging; the window barrier below publishes them.
-  // The invariant checker's observer protocol is sequential, so an attached
-  // checker forces serial execution.
   auto& staged = sc.staged;
   staged.resize(shards);
   for (std::size_t s = 0; s < shards; ++s) {
     staged[s].resize(sc.shards[s].tasks.size());
   }
-  const int threads = invariants_ != nullptr ? 1 : options_.threads;
   parallel_for(
       tasks.size(),
       [&](std::size_t t) {

@@ -75,13 +75,17 @@ struct RunOptions {
 
 // Telemetry from the last window's shard partition: how many transmitter
 // rows the slices held, and how much of the window crossed a shard border
-// (a boundary row is a transmitter audible in a stripe other than the one
-// holding its origin; a boundary event is a reception at such a gateway).
+// (boundary_rows counts each transmission once per stripe other than its
+// origin's that admits it; a boundary event is a reception at such a
+// stripe's gateway).
 struct ShardWindowStats {
   int shards = 1;
   std::size_t resident_rows = 0;   // rows materialized across all slices
   std::size_t boundary_rows = 0;   // audible (tx, shard) pairs away from home
   std::size_t boundary_events = 0; // rx events that crossed a border
+
+  friend bool operator==(const ShardWindowStats&,
+                         const ShardWindowStats&) = default;
 };
 
 // Everything one gateway produces from a window, computed independently of
@@ -166,6 +170,8 @@ class ScenarioRunner {
                                                      // (> 64-column path)
     std::vector<std::size_t> tasks;  // global task indices homed here
     bool use_mask = true;            // slice fits the 64-column mask path
+    std::size_t boundary_rows = 0;   // this window's count, summed after
+                                     // the prepass in shard order
     Engine engine;  // shard-local queue; publishes yields at the barrier
   };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "phy/band_plan.hpp"
 
 namespace alphawan {
@@ -86,6 +88,30 @@ TEST(NetworkTest, ApplyConfigIgnoresUnknownIds) {
   config.gateways[99] = GatewayChannelConfig{{Channel{Hz{915e6}, Hz{125e3}}}};
   config.nodes[98] = NodeRadioConfig{};
   EXPECT_NO_THROW(net.apply_config(config));
+}
+
+// find_node is an index lookup now; it must keep the linear scan's answer
+// for duplicate ids (the first node added), and so must apply_config.
+TEST(NetworkTest, DuplicateNodeIdsResolveToFirstAdded) {
+  Network net(1, "test");
+  const Spectrum s = spectrum_1m6();
+  EndNode& first = net.add_node(20, Point{Meters{5}, Meters{5}},
+                                NodeRadioConfig{});
+  EndNode& second = net.add_node(20, Point{Meters{50}, Meters{50}},
+                                 NodeRadioConfig{});
+  net.add_node(21, Point{Meters{7}, Meters{7}}, NodeRadioConfig{});
+  EXPECT_EQ(net.find_node(20), &first);
+  EXPECT_EQ(std::as_const(net).find_node(20), &first);
+  EXPECT_EQ(net.find_node(21)->position(), (Point{Meters{7}, Meters{7}}));
+
+  NetworkChannelConfig config;
+  NodeRadioConfig node_cfg;
+  node_cfg.channel = s.grid_channel(3);
+  node_cfg.dr = DataRate::kDR2;
+  config.nodes[20] = node_cfg;
+  net.apply_config(config);
+  EXPECT_EQ(first.config(), node_cfg);
+  EXPECT_EQ(second.config(), NodeRadioConfig{});
 }
 
 TEST(NetworkTest, GatewayAntennaSwap) {

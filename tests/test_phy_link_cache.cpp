@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -234,6 +235,140 @@ TEST(LinkCache, IncrementalCandidatesMatchRebuild) {
     ASSERT_EQ(a.size(), b.size()) << "row " << row;
     for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k], b[k]);
   }
+}
+
+// Brute-force candidate set of one row, from the documented bound:
+//   power_bound - path_loss + antenna_gain + max fading + 1 dB >= floor.
+std::vector<std::uint32_t> brute_force_candidates(const LinkCache& cache,
+                                                  const ChannelModel& model,
+                                                  std::uint32_t row, Dbm floor,
+                                                  Dbm power_bound) {
+  const Db max_fading{kNormalTailSigmas *
+                      model.config().fast_fading_sigma_db.value()};
+  std::vector<std::uint32_t> want;
+  for (std::uint32_t col = 0; col < cache.column_count(); ++col) {
+    const LinkGain g = cache.gains(col)[row];
+    const Dbm best = power_bound - g.path_loss + g.antenna_gain + max_fading +
+                     Db{1.0};
+    if (best >= floor) want.push_back(col);
+  }
+  return want;
+}
+
+// Candidates are stored as a per-row bitmask up to kMaxMaskColumns columns
+// and as flat per-row lists beyond. In both layouts they must match the
+// brute-force bound after every mutation that can change a row's
+// candidates, and in the mask layout candidate_mask must be the OR of
+// candidate_columns.
+void check_candidates_after_every_mutation(std::uint32_t gateways) {
+  ChannelModelConfig cfg;
+  cfg.seed = 17;
+  ChannelModel model(cfg);
+  LinkCache cache(model);
+  // Gateways on a 400 m grid, eight to a row.
+  auto site = [](std::uint32_t k) {
+    return Site{k + 1, Point{Meters{400.0 * (k % 8)}, Meters{400.0 * (k / 8)}}};
+  };
+  for (std::uint32_t k = 0; k < gateways; ++k) upsert(cache, site(k));
+  const bool masked = cache.column_count() <= LinkCache::kMaxMaskColumns;
+
+  Dbm floor = noise_floor_dbm(kLoRaBandwidth125k) - Db{10.0};
+  Dbm power_bound{20.0};
+  std::size_t set_bits = 0;
+  std::size_t clear_bits = 0;
+  auto expect_candidates_match = [&](const char* step) {
+    for (std::uint32_t row = 0; row < cache.row_count(); ++row) {
+      const auto want =
+          brute_force_candidates(cache, model, row, floor, power_bound);
+      const auto got = cache.candidate_columns(row, floor, power_bound);
+      EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), want)
+          << step << ", row " << row << ", " << gateways << " gateways";
+      set_bits += want.size();
+      clear_bits += cache.column_count() - want.size();
+      if (!masked) continue;
+      std::uint64_t columns_or = 0;
+      for (const std::uint32_t col : want) {
+        columns_or |= std::uint64_t{1} << col;
+      }
+      EXPECT_EQ(cache.candidate_mask(row, floor, power_bound), columns_or)
+          << step << ", row " << row;
+    }
+  };
+
+  // Rows near the grid and one out of everyone's reach.
+  cache.ensure_row(1, Point{Meters{100.0}, Meters{0.0}});
+  cache.ensure_row(2, Point{Meters{1300.0}, Meters{300.0}});
+  cache.ensure_row(3, Point{Meters{3.0e6}, Meters{0.0}});
+  expect_candidates_match("initial rows");
+
+  cache.ensure_row(4, Point{Meters{2900.0}, Meters{250.0}});
+  expect_candidates_match("row add");
+
+  cache.ensure_row(3, Point{Meters{-350.0}, Meters{880.0}});
+  expect_candidates_match("same-id origin move");
+
+  upsert(cache, Site{gateways + 1, Point{Meters{-300.0}, Meters{900.0}}});
+  expect_candidates_match("upsert_gateway");
+
+  const Site first = site(0);
+  cache.upsert_gateway(first.id, kRxKeyBase + first.id, first.position, 1,
+                       [](const Point&) { return Db{-200.0}; });
+  expect_candidates_match("antenna-epoch refresh");
+
+  floor = floor + Db{40.0};
+  expect_candidates_match("floor change");
+  power_bound = Dbm{2.0};
+  expect_candidates_match("power-bound change");
+
+  EXPECT_GT(set_bits, 0u);
+  EXPECT_GT(clear_bits, 0u);
+}
+
+TEST(LinkCache, CandidateMaskMatchesBoundAfterEveryMutation) {
+  check_candidates_after_every_mutation(/*gateways=*/3);
+}
+
+TEST(LinkCache, CandidateListsMatchBoundAfterEveryMutationPast64Columns) {
+  check_candidates_after_every_mutation(/*gateways=*/70);
+}
+
+// A memoized rejection holds only for the audibility bound it was probed
+// under: the same node at the same origin, probed against a lower floor or
+// a higher power bound, must be probed again and admitted.
+TEST(LinkCache, RejectionMemoIsKeyedByTheAudibilityBound) {
+  ChannelModel model;
+  LinkCache cache(model);
+  upsert(cache, test_sites()[0]);
+  const Point origin{Meters{300.0}, Meters{0.0}};
+  const Dbm noise = noise_floor_dbm(kLoRaBandwidth125k);
+  const Dbm strict = noise + Db{40.0};
+  const Dbm lenient = noise - Db{10.0};
+  EXPECT_EQ(cache.ensure_row_if_audible(9, origin, strict, Dbm{14.0}),
+            LinkCache::kInvalidRow);
+  EXPECT_EQ(cache.ensure_row_if_audible(9, origin, strict, Dbm{14.0}),
+            LinkCache::kInvalidRow);
+  EXPECT_NE(cache.ensure_row_if_audible(9, origin, strict, Dbm{64.0}),
+            LinkCache::kInvalidRow);
+
+  EXPECT_EQ(cache.ensure_row_if_audible(10, origin, strict, Dbm{14.0}),
+            LinkCache::kInvalidRow);
+  EXPECT_NE(cache.ensure_row_if_audible(10, origin, lenient, Dbm{14.0}),
+            LinkCache::kInvalidRow);
+  EXPECT_EQ(cache.row_count(), 2u);
+}
+
+TEST(LinkCache, CandidateMaskRejectsMoreThan64Columns) {
+  ChannelModel model;
+  LinkCache cache(model);
+  for (GatewayId id = 0; id < 64; ++id) {
+    upsert(cache, Site{id, Point{Meters{10.0 * id}, Meters{0.0}}});
+  }
+  const auto row = cache.ensure_row(1, Point{Meters{0.0}, Meters{0.0}});
+  const Dbm floor = noise_floor_dbm(kLoRaBandwidth125k);
+  EXPECT_NE(cache.candidate_mask(row, floor, Dbm{14.0}), 0u);
+  upsert(cache, Site{64, Point{Meters{640.0}, Meters{0.0}}});
+  EXPECT_THROW((void)cache.candidate_mask(row, floor, Dbm{14.0}),
+               std::logic_error);
 }
 
 }  // namespace
