@@ -7,8 +7,9 @@
 // packet N lost?": it lists, per gateway that could hear the packet, the
 // received power, SNR, and disposition, plus the resulting fate.
 //
-// Limitation: post-processors installed via RunOptions (the CIC baseline)
-// are not replayed; the report reflects the stock radio pipeline.
+// Limitation: a capture policy is replayed only if the gateway still
+// carries it (the runner installs RunOptions::capture_policy on every
+// gateway each window); a fresh deployment replays the stock pipeline.
 #pragma once
 
 #include <string>

@@ -1,4 +1,4 @@
-// Batched PHY receive kernels (ALPHAWAN_BATCH=1, sim/batch.hpp) and the
+// Batched PHY receive kernels — the receive pipeline's hot loops — and the
 // scalar reference kernel they are differentially tested against.
 //
 // The four hot loops of the receive pipeline — candidate link-gain /
@@ -26,9 +26,11 @@
 //    element in scalar scan order — is recovered from the max stable-sort
 //    rank among colliders.
 //
-// The differential harness (tests/property/test_prop_kernels.cpp) checks
-// scalar == batched bit-for-bit across randomized worlds; the equivalences
-// above are what make that hold for every input, not just the sampled ones.
+// tests/test_phy_batch_kernels.cpp checks each batched kernel against
+// scan_bucket_scalar (and the per-element loops it replaces) bit-for-bit;
+// tests/property/test_prop_kernels.cpp checks whole windows against the
+// digests the deleted scalar pipeline recorded. The equivalences above are
+// what make that hold for every input, not just the sampled ones.
 #pragma once
 
 #include <algorithm>
@@ -104,9 +106,9 @@ struct SfGroup {
 };
 
 // Scalar reference scan of one frequency bucket — a verbatim transcription
-// of the original GatewayRadio::process phase-3 inner loop, shared by the
-// scalar pipeline and by batched buckets that don't qualify for a fast
-// kernel (mixed-channel buckets). `order_begin/order_end` delimit the
+// of the original GatewayRadio::process phase-3 inner loop, run for the
+// buckets that don't qualify for a fast kernel (mixed-channel buckets) and
+// the reference every batched kernel is tested against. `order_begin/order_end` delimit the
 // bucket's start-sorted event indices; `uniform`/`rho_uniform` mirror the
 // bucket's uniform-channel fast path; `lookback` is the bucket's longest
 // event duration.
@@ -297,7 +299,8 @@ void batch_fading_draws(const SubstreamBatch& stream, const PacketId* packets,
 // Batched candidate filter: computes each candidate transmission's received
 // power through the cached static link terms —
 //   ((tx_power - path_loss) + fading) + antenna_gain
-// the exact expression and operand order of the scalar consider() — and
+// the exact expression and operand order of the original per-event loop —
+// and
 // compacts tx_index in place to the transmissions clearing `floor`, writing
 // the surviving powers to out_power. fading[k] parallels the *input*
 // tx_index. Returns the number kept; compaction preserves ascending order.

@@ -54,24 +54,23 @@ class GatewayRadio {
     return capture_policy_;
   }
 
-  // Process one window of transmissions observed at this gateway. Events
-  // may arrive unsorted. Returns one outcome per input event (same order).
+  // Process one window of transmissions observed at this gateway, driven
+  // off the window's shared WindowTxTable columns through the batched
+  // kernels (phy/batch_kernels.hpp). Events may arrive unsorted. Fills
+  // `outcomes` with one outcome per view event (same order), so a
+  // caller-owned buffer keeps its capacity across windows. Capture
+  // policies read the columnar CaptureContext over the per-event scratch
+  // columns, so no RxEvent list is ever materialized. Throws
+  // std::invalid_argument when view.count > 0 and the table, index or
+  // power pointer is null.
+  void process_into(const RxEventView& view, std::vector<RxOutcome>& outcomes);
+
+  // Event-list adapter for callers holding RxEvents (replay, figure
+  // benches, unit tests): builds a one-off WindowTxTable from the events'
+  // transmissions with an identity index and runs process_into. Returns
+  // one outcome per input event (same order).
   [[nodiscard]] std::vector<RxOutcome> process(
       const std::vector<RxEvent>& events);
-
-  // Batched-mode variant (ALPHAWAN_BATCH=1, sim/batch.hpp): same pipeline
-  // driven off the window's shared WindowTxTable columns through the
-  // batched kernels (phy/batch_kernels.hpp), returning outcomes
-  // bit-identical to process() on the equivalent RxEvent list
-  // (tests/property/test_prop_kernels.cpp). Capture policies read the
-  // columnar CaptureContext, filled from the same per-event scratch
-  // columns in both pipelines, so no RxEvent list is ever materialized.
-  [[nodiscard]] std::vector<RxOutcome> process(const RxEventView& view);
-
-  // In-place form of the batched variant: fills `outcomes` (resized to
-  // view.count) instead of returning a fresh vector, so a caller-owned
-  // buffer keeps its capacity across windows.
-  void process_into(const RxEventView& view, std::vector<RxOutcome>& outcomes);
 
  private:
   // Reusable per-window working storage (docs/performance.md): allocated
@@ -107,8 +106,8 @@ class GatewayRadio {
       // and zero overlap skips its entire scan range.
       bool uniform = true;
       Channel channel{};
-      // Batched mode only: [groups_begin, groups_end) into sf_groups for a
-      // uniform bucket's stable SF grouping (empty for mixed buckets).
+      // [groups_begin, groups_end) into sf_groups for a uniform bucket's
+      // stable SF grouping (empty for mixed buckets).
       std::uint32_t groups_begin = 0;
       std::uint32_t groups_end = 0;
     };
@@ -127,24 +126,14 @@ class GatewayRadio {
     // best_chain result per distinct packet channel; valid until the
     // channel set changes (cleared by configure_channels).
     std::vector<ChainMemo> chain_memo;
-    struct AirtimeMemo {
-      TxParams params{};
-      std::uint32_t payload_bytes = 0;
-      Seconds airtime{0.0};
-      Seconds preamble{0.0};
-    };
-    // time_on_air/preamble_duration per distinct (params, payload): a
-    // window draws from a handful of radio settings, so the full airtime
-    // formula runs once per setting instead of once per event.
-    std::vector<AirtimeMemo> airtime_memo;
     // Pre-resolve disposition snapshot for the capture-policy budget check
     // (only filled when a policy is installed).
     std::vector<RxDisposition> pre_policy;
-    // Batched-mode extras, filled by build_sf_groups_and_memos: every
-    // uniform bucket's events stably regrouped by SF (order_sf, with
-    // pos_sf the bucket rank of each entry), the flat SF-group ranges, and
-    // the per-(bucket, chain) overlap/coupling memo — values the scalar
-    // scan recomputes identically per decoded event.
+    // Filled by build_sf_groups_and_memos: every uniform bucket's events
+    // stably regrouped by SF (order_sf, with pos_sf the bucket rank of each
+    // entry), the flat SF-group ranges, and the per-(bucket, chain)
+    // overlap/coupling memo — values scan_bucket_scalar recomputes
+    // identically per decoded event.
     std::vector<std::uint32_t> order_sf;
     std::vector<std::uint32_t> pos_sf;
     std::vector<SfGroup> sf_groups;
@@ -164,24 +153,20 @@ class GatewayRadio {
   // every chain's filter truncates it.
   [[nodiscard]] int chain_for(const Channel& packet_channel);
 
-  // Memoized airtime terms for one transmission's radio settings.
-  [[nodiscard]] const RxScratch::AirtimeMemo& airtime_for(
-      const Transmission& tx);
-
   // Phase 2: FCFS dispatch of the filled queue into the decoder pool.
   // `already_sorted` skips sort_fcfs when the caller proved the queue
   // strictly ascending by (lock_on, packet) — any comparison sort is the
   // identity there, so skipping cannot change the dispatch order.
   void dispatch_queue(std::vector<RxOutcome>& outcomes, bool already_sorted);
   // Phase 3a: coarse frequency bucketing + per-bucket start-time sort over
-  // the phase-1 scratch columns (shared verbatim by both pipelines).
+  // the phase-1 scratch columns.
   void build_bucket_index(std::size_t count);
-  // Batched phase-3 prep: stable SF grouping of every uniform bucket and
-  // the per-(bucket, chain) overlap/coupling memos.
+  // Phase-3 prep: stable SF grouping of every uniform bucket and the
+  // per-(bucket, chain) overlap/coupling memos.
   void build_sf_groups_and_memos(std::size_t count);
   // Phase 4: pluggable capture resolution + the decoder-budget check.
   // Builds the columnar CaptureContext over the first `count` entries of
-  // the per-event scratch columns (both pipelines fill the same columns).
+  // the per-event scratch columns.
   void apply_capture_policy(std::size_t count,
                             std::vector<RxOutcome>& outcomes);
 

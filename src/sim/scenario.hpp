@@ -15,7 +15,6 @@
 // (docs/sharding.md); it bounds memory to the live audible links.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -35,15 +34,6 @@ class SimInvariants;
 [[nodiscard]] Rng packet_link_rng(const Rng& root, GatewayId gateway,
                                   PacketId packet);
 
-// Optional per-gateway outcome post-processor (hook used by the CIC
-// baseline to resolve collisions a stock gateway cannot). Receives the
-// events the gateway saw and may rewrite outcome dispositions. May be
-// invoked from concurrent gateway tasks, so it must not mutate state shared
-// across gateways (see docs/parallelism.md).
-using RxPostProcessor = std::function<void(
-    const Gateway& gw, const std::vector<RxEvent>& events,
-    std::vector<RxOutcome>& outcomes)>;
-
 // Per-runner knobs, consolidated in one value so a runner is configured in
 // a single statement instead of a pile of setters.
 struct RunOptions {
@@ -51,7 +41,6 @@ struct RunOptions {
   // dropped from that gateway's event list (they can neither be received
   // nor meaningfully interfere).
   Db prune_margin{25.0};
-  RxPostProcessor post_processor;
   // Pluggable gateway-side capture resolution (radio/capture_policy.hpp):
   // installed on every gateway each window, invoked inside
   // GatewayRadio::process so rescued packets flow through the normal
@@ -66,11 +55,6 @@ struct RunOptions {
   // ALPHAWAN_SHARDS process default, >= 1 explicit. Any count produces
   // bit-identical results (docs/sharding.md).
   int shards = 0;
-  // Batched PHY receive kernels (sim/batch.hpp): -1 = the ALPHAWAN_BATCH
-  // process default, 0 = scalar reference, >= 1 = batched. Either mode
-  // produces bit-identical results (docs/performance.md, enforced by
-  // tests/property/test_prop_kernels.cpp).
-  int batch = -1;
 };
 
 // Telemetry from the last window's shard partition: how many transmitter
@@ -121,16 +105,6 @@ class ScenarioRunner {
   [[nodiscard]] Db prune_margin() const { return options_.prune_margin; }
   [[nodiscard]] std::uint64_t seed() const { return rng_.root_seed(); }
 
-  // Deprecated setter shims, kept for one release for external callers.
-  [[deprecated("pass RunOptions to the constructor or set_options")]]
-  void set_prune_margin(Db margin) {
-    options_.prune_margin = margin;
-  }
-  [[deprecated("pass RunOptions to the constructor or set_options")]]
-  void set_post_processor(RxPostProcessor proc) {
-    options_.post_processor = std::move(proc);
-  }
-
   // Attach the correctness harness: every window is checked for packet
   // conservation, FCFS ordering, and decoder-pool discipline. Enabled
   // automatically (fail-fast) when ALPHAWAN_CHECK=1 is exported. Pass
@@ -180,18 +154,15 @@ class ScenarioRunner {
     std::vector<std::uint32_t> task_col;    // task index -> column in slice
     std::vector<std::uint32_t> task_shard;  // task index -> home shard
     std::vector<std::uint32_t> task_slot;   // task index -> slot in shard
-    std::vector<std::vector<RxEvent>> events;  // per-task event arena
     // Per-shard staging slots for the window's yields, plus the publish
     // pointers the barrier exchange fills (global task index -> staged
     // yield). Pointer publication replaces the old move-into-a-local-vector
     // exchange so the per-task buffers persist window to window.
     std::vector<std::vector<GatewayYield>> staged;
     std::vector<const GatewayYield*> yield_ptr;
-    // Batched-mode arenas (ALPHAWAN_BATCH=1): the window's shared
-    // transmission columns plus per-task candidate index / fading / power
-    // buffers consumed by the batched kernels (phy/batch_kernels.hpp).
-    // The RxEvent arenas above are then only materialized for tasks whose
-    // gateway runs a post-processor or capture policy (both take events).
+    // The window's shared transmission columns plus per-task candidate
+    // index / fading / power buffers consumed by the batched kernels
+    // (phy/batch_kernels.hpp). No RxEvent list is materialized.
     WindowTxTable table;
     std::vector<std::vector<std::uint32_t>> task_idx;
     std::vector<std::vector<double>> task_fade;

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/cic.hpp"
 #include "baselines/lmac.hpp"
 #include "baselines/random_cp.hpp"
 #include "baselines/standard_lorawan.hpp"
@@ -25,7 +24,6 @@ void legacy_baseline_calls(Deployment& deployment, Network& network,
   apply_standard_lorawan(deployment, network, rng);
   apply_random_cp(deployment, network, rng);
   txs = lmac_schedule(std::move(txs), rng);
-  (void)make_cic_processor();
 }
 
 }  // namespace alphawan

@@ -1,33 +1,37 @@
-// The batched-kernel differential harness (the ALPHAWAN_BATCH switch,
-// sim/batch.hpp): the batched PHY receive kernels must be bit-identical to
-// the scalar reference pipeline on every world — not just on average, not
-// just statistically. Three layers:
-//   - across >= 100 random worlds, the window fate digest of the batched
-//     mode equals the scalar (threads=1, shards=1) digest at every
-//     (shards, threads) in {1,8} x {1,8} — batching composes with
-//     sharding and the thread fan-out without perturbing a single fate;
+// The batched-kernel differential harness: the batched receive pipeline
+// must be bit-identical to the scalar reference pipeline on every world —
+// not just on average, not just statistically. The scalar pipeline is gone;
+// its per-case digests are recorded in tests/golden/scalar_oracle_digests.txt
+// (tests/scalar_oracle.hpp). Three layers:
+//   - across >= 100 random worlds, the window fate digest equals the
+//     recorded scalar digest at every (shards, threads) in {1,8} x {1,8} —
+//     batching composes with sharding and the thread fan-out without
+//     perturbing a single fate;
 //   - every registered baseline scheme (MAC side and capture side,
 //     including the policy schemes cic / ss5g / curvinglora whose
-//     resolve() reads the columnar CaptureContext) produces identical
-//     digests in both modes on randomized worlds;
-//   - a same-seed batched rerun replays bit-for-bit (all randomness flows
-//     through keyed substreams, never iteration order).
+//     resolve() reads the columnar CaptureContext) reproduces its recorded
+//     scalar digest on randomized worlds;
+//   - a same-seed rerun replays bit-for-bit (all randomness flows through
+//     keyed substreams, never iteration order).
+//
+// Cases are keyed by seed, so on a failure only the unshrunk case compares
+// against its own recorded digest; the shrinker's smaller worlds have none.
 #include <gtest/gtest.h>
 
 #include "baselines/registry.hpp"
 #include "check/digest.hpp"
 #include "proptest.hpp"
+#include "scalar_oracle.hpp"
 
 namespace alphawan {
 namespace {
 
 using prop::CaseParams;
 
-std::uint64_t window_digest(const CaseParams& params, int batch, int threads,
+std::uint64_t window_digest(const CaseParams& params, int threads,
                             int shards) {
   prop::World world = prop::build_world(params);
   RunOptions options;
-  options.batch = batch;
   options.threads = threads;
   options.shards = shards;
   ScenarioRunner runner(*world.deployment, params.seed, options);
@@ -51,18 +55,18 @@ TEST(BatchDifferential, BatchedEqualsScalarAcrossRandomWorlds) {
       "batched kernels are bit-identical to the scalar reference",
       /*cases=*/100, /*seed=*/20260811, lo, hi,
       [](const CaseParams& params) -> std::optional<std::string> {
-        const std::uint64_t scalar = window_digest(params, /*batch=*/0,
-                                                   /*threads=*/1,
-                                                   /*shards=*/1);
+        const std::string scalar = oracle::scalar_digest(
+            "BatchDifferential.BatchedEqualsScalarAcrossRandomWorlds",
+            std::to_string(params.seed));
         for (const int shards : {1, 8}) {
           for (const int threads : {1, 8}) {
-            const std::uint64_t batched =
-                window_digest(params, /*batch=*/1, threads, shards);
+            const std::string batched =
+                digest_hex(window_digest(params, threads, shards));
             if (batched != scalar) {
-              return "batched digest " + digest_hex(batched) + " at shards=" +
+              return "batched digest " + batched + " at shards=" +
                      std::to_string(shards) + " threads=" +
-                     std::to_string(threads) + " != scalar digest " +
-                     digest_hex(scalar);
+                     std::to_string(threads) + " != recorded scalar digest " +
+                     scalar;
             }
           }
         }
@@ -87,11 +91,10 @@ TEST(BatchDifferential, SameSeedBatchedRunReplaysIdentically) {
       "same-seed batched window replays identically", /*cases=*/20,
       /*seed=*/20260812, lo, hi,
       [](const CaseParams& params) -> std::optional<std::string> {
-        const std::uint64_t first = window_digest(params, /*batch=*/1,
-                                                  /*threads=*/8, /*shards=*/8);
-        const std::uint64_t replay = window_digest(params, /*batch=*/1,
-                                                   /*threads=*/8,
-                                                   /*shards=*/8);
+        const std::uint64_t first =
+            window_digest(params, /*threads=*/8, /*shards=*/8);
+        const std::uint64_t replay =
+            window_digest(params, /*threads=*/8, /*shards=*/8);
         if (first != replay) {
           return "replay digest " + digest_hex(replay) + " != first run " +
                  digest_hex(first);
@@ -100,7 +103,7 @@ TEST(BatchDifferential, SameSeedBatchedRunReplaysIdentically) {
       });
 }
 
-// ---- every scheme, both modes --------------------------------------------
+// ---- every scheme against the recorded scalar digests --------------------
 
 // Registry tuning sized for property cheapness (same shape as
 // test_prop_baselines.cpp).
@@ -143,12 +146,11 @@ SchemeWorld build_scheme_world(const BaselineScheme& scheme,
   return world;
 }
 
-std::uint64_t scheme_digest(const BaselineScheme& scheme, const CaseParams& p,
-                            int batch) {
+std::uint64_t scheme_digest(const BaselineScheme& scheme,
+                            const CaseParams& p) {
   SchemeWorld world = build_scheme_world(scheme, p);
   RunOptions options;
   options.capture_policy = scheme.capture;
-  options.batch = batch;
   ScenarioRunner runner(*world.deployment, p.seed, std::move(options));
   return fate_digest(runner.run_window(world.txs).fates);
 }
@@ -173,14 +175,18 @@ TEST(BatchDifferential, EveryRegisteredSchemeBitIdenticalAcrossModes) {
     const BaselineScheme scheme =
         BaselineRegistry::instance().make(name, cheap_tuning());
     prop::check_property(
-        ("scheme '" + name + "' is batch-mode invariant").c_str(),
+        ("scheme '" + name + "' matches the scalar reference").c_str(),
         /*cases=*/5, /*seed=*/20260813, lo, hi,
-        [&scheme](const CaseParams& params) -> std::optional<std::string> {
-          const std::uint64_t scalar = scheme_digest(scheme, params, 0);
-          const std::uint64_t batched = scheme_digest(scheme, params, 1);
+        [&](const CaseParams& params) -> std::optional<std::string> {
+          const std::string scalar = oracle::scalar_digest(
+              "BatchDifferential.EveryRegisteredSchemeBitIdenticalAcrossModes/"
+              + name,
+              std::to_string(params.seed));
+          const std::string batched =
+              digest_hex(scheme_digest(scheme, params));
           if (batched != scalar) {
-            return "batched digest " + digest_hex(batched) +
-                   " != scalar digest " + digest_hex(scalar);
+            return "batched digest " + batched +
+                   " != recorded scalar digest " + scalar;
           }
           return std::nullopt;
         });

@@ -9,6 +9,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "sim/scenario.hpp"
 #include "sim/traffic.hpp"
 
 namespace alphawan {
@@ -364,39 +365,6 @@ TEST(DeprecatedShims, LmacShimMatchesPolicy) {
   for (std::size_t i = 0; i < via_shim.size(); ++i) {
     EXPECT_EQ(via_shim[i].id, via_policy[i].id);
     EXPECT_DOUBLE_EQ(via_shim[i].start.value(), via_policy[i].start.value());
-  }
-}
-
-TEST(DeprecatedShims, CicProcessorShimMatchesCapturePolicy) {
-  // Same two-packet collision world as Cic.ResolvesSmallCollisions, once
-  // through the deprecated RxPostProcessor shim and once through
-  // RunOptions::capture_policy: identical delivered counts.
-  for (const bool use_shim : {true, false}) {
-    Deployment deployment{Region{Meters{600.0}, Meters{600.0}},
-                          spectrum_1m6(), quiet_channel()};
-    auto& network = deployment.add_network("op");
-    auto& gw = network.add_gateway(1, deployment.region().center(),
-                                   default_profile());
-    gw.apply_channels(GatewayChannelConfig{
-        standard_plan(deployment.spectrum(), 0).channels});
-    NodeRadioConfig cfg;
-    cfg.channel = deployment.spectrum().grid_channel(0);
-    cfg.dr = DataRate::kDR3;
-    auto& n1 = network.add_node(1, Point{Meters{300}, Meters{310}}, cfg);
-    auto& n2 = network.add_node(2, Point{Meters{310}, Meters{300}}, cfg);
-    PacketIdSource ids;
-    RunOptions options;
-    if (use_shim) {
-      options.post_processor = make_cic_processor();
-    } else {
-      options.capture_policy = std::make_shared<CicCapturePolicy>();
-    }
-    ScenarioRunner runner(deployment, 7, std::move(options));
-    const std::vector<Transmission> txs = {
-        n1.make_transmission(Seconds{0.0}, 10, ids.next()),
-        n2.make_transmission(Seconds{0.0}, 10, ids.next())};
-    EXPECT_EQ(runner.run_window(txs).total_delivered(), 2u)
-        << (use_shim ? "shim" : "capture policy");
   }
 }
 

@@ -461,5 +461,31 @@ TEST(GatewayRadio, DecoderFreedAfterPacketEnd) {
   EXPECT_EQ(count(outcomes, RxDisposition::kDelivered), 40u);
 }
 
+TEST(GatewayRadio, MalformedViewThrows) {
+  // A view that claims events but lacks one of its columns is a caller
+  // bug: fail loudly instead of dereferencing null.
+  WindowTxTable table;
+  table.build({make_tx(1, 0, SpreadingFactor::kSF7, Seconds{0.0})});
+  const std::uint32_t index = 0;
+  const Dbm power{-80.0};
+  auto radio = make_radio();
+  std::vector<RxOutcome> outcomes;
+  EXPECT_THROW(radio.process_into(RxEventView{nullptr, &index, &power, 1},
+                                  outcomes),
+               std::invalid_argument);
+  EXPECT_THROW(radio.process_into(RxEventView{&table, nullptr, &power, 1},
+                                  outcomes),
+               std::invalid_argument);
+  EXPECT_THROW(radio.process_into(RxEventView{&table, &index, nullptr, 1},
+                                  outcomes),
+               std::invalid_argument);
+  // An empty view needs no columns; a complete one runs.
+  radio.process_into(RxEventView{}, outcomes);
+  EXPECT_TRUE(outcomes.empty());
+  radio.process_into(RxEventView{&table, &index, &power, 1}, outcomes);
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].disposition, RxDisposition::kDelivered);
+}
+
 }  // namespace
 }  // namespace alphawan

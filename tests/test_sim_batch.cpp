@@ -1,23 +1,21 @@
-// Batch-mode selection (sim/batch.hpp) and the batched pipeline's edge
-// shapes, pinned scalar-vs-batched at the exact seams where the batched
-// restructuring could diverge from the reference: counting-sort bucket
-// seams, partial-overlap lookback at the first/last event of a bucket,
-// batches of exactly 1 and exactly 65 candidates, and the all-pruned
-// window (every batched kernel invoked on an empty batch). The property
-// suite (tests/property/test_prop_kernels.cpp) covers random worlds; these
-// are the deliberate corners.
-#include "sim/batch.hpp"
-
+// The batched receive pipeline's edge shapes, pinned against the recorded
+// scalar reference (tests/golden/scalar_oracle_digests.txt) at the exact
+// seams where the batched restructuring could diverge from it:
+// counting-sort bucket seams, partial-overlap lookback at the first/last
+// event of a bucket, batches of exactly 1 and exactly 65 candidates, and
+// the all-pruned window (every batched kernel invoked on an empty batch).
+// The property suite (tests/property/test_prop_kernels.cpp) covers random
+// worlds; these are the deliberate corners.
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <cstring>
 #include <vector>
 
 #include "check/digest.hpp"
 #include "common/rng.hpp"
 #include "net/sync_word.hpp"
 #include "radio/gateway_radio.hpp"
-#include "radio/rx_batch.hpp"
+#include "scalar_oracle.hpp"
 #include "sim/scenario.hpp"
 #include "sim/traffic.hpp"
 
@@ -26,28 +24,7 @@ namespace {
 
 const Spectrum kSpec = spectrum_1m6();
 
-// ---- mode selection ------------------------------------------------------
-
-TEST(BatchMode, ParseRecognizesOnlyNonzeroIntegers) {
-  EXPECT_EQ(parse_batch_mode(nullptr), 0);
-  EXPECT_EQ(parse_batch_mode(""), 0);
-  EXPECT_EQ(parse_batch_mode("0"), 0);
-  EXPECT_EQ(parse_batch_mode("1"), 1);
-  EXPECT_EQ(parse_batch_mode("2"), 1);
-  EXPECT_EQ(parse_batch_mode("-1"), 1);
-  EXPECT_EQ(parse_batch_mode("garbage"), 0);
-  EXPECT_EQ(parse_batch_mode("1x"), 0);
-  EXPECT_EQ(parse_batch_mode("00"), 0);
-}
-
-TEST(BatchMode, ResolveHonorsExplicitRequestOverDefault) {
-  EXPECT_EQ(resolve_batch_mode(0), 0);
-  EXPECT_EQ(resolve_batch_mode(1), 1);
-  EXPECT_EQ(resolve_batch_mode(7), 1);
-  EXPECT_EQ(resolve_batch_mode(-1), default_batch_mode());
-}
-
-// ---- radio-level scalar/batched differential on crafted windows ----------
+// ---- radio-level crafted windows against the recorded oracle -----------
 
 GatewayRadio make_radio(NetworkId network = 0, int num_channels = 8) {
   GatewayRadio radio(default_profile(), network,
@@ -73,50 +50,50 @@ Transmission make_tx(PacketId id, Channel channel, SpreadingFactor sf,
   return tx;
 }
 
-void expect_outcomes_equal(const std::vector<RxOutcome>& scalar,
-                           const std::vector<RxOutcome>& batched) {
-  ASSERT_EQ(scalar.size(), batched.size());
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    const RxOutcome& s = scalar[i];
-    const RxOutcome& b = batched[i];
-    EXPECT_EQ(s.packet, b.packet) << "event " << i;
-    EXPECT_EQ(s.node, b.node) << "event " << i;
-    EXPECT_EQ(s.network, b.network) << "event " << i;
-    EXPECT_EQ(s.disposition, b.disposition) << "event " << i;
-    EXPECT_EQ(s.foreign_among_occupants, b.foreign_among_occupants)
-        << "event " << i;
-    EXPECT_EQ(s.foreign_interferer, b.foreign_interferer) << "event " << i;
-    EXPECT_EQ(s.snr.value(), b.snr.value()) << "event " << i;
-    EXPECT_EQ(s.chain_channel, b.chain_channel) << "event " << i;
+// Order-sensitive FNV-1a digest of an outcome list, every field folded
+// (the SNR by its bit pattern), as recorded in the oracle file.
+std::uint64_t outcome_digest(const std::vector<RxOutcome>& outcomes) {
+  std::uint64_t state = kFnv1aOffset;
+  const auto fold = [&state](std::uint64_t value) {
+    state = fnv1a(&value, sizeof value, state);
+  };
+  for (const RxOutcome& out : outcomes) {
+    fold(out.packet);
+    fold(out.node);
+    fold(out.network);
+    fold(static_cast<std::uint64_t>(out.disposition));
+    fold(out.foreign_among_occupants ? 1 : 0);
+    fold(out.foreign_interferer ? 1 : 0);
+    const double snr = out.snr.value();
+    std::uint64_t snr_bits = 0;
+    std::memcpy(&snr_bits, &snr, sizeof snr_bits);
+    fold(snr_bits);
+    fold(static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(out.chain_channel)));
   }
+  return state;
 }
 
-// Run the same crafted window through both pipelines on identically
-// configured fresh radios and require outcome-for-outcome equality.
-void expect_pipelines_agree(const std::vector<Transmission>& txs,
-                            const std::vector<Dbm>& powers) {
+// Run a crafted window through the pipeline on a fresh radio (the
+// event-list adapter builds the WindowTxTable view) and require its
+// outcome digest to equal the scalar reference's.
+void expect_matches_oracle(const char* test,
+                           const std::vector<Transmission>& txs,
+                           const std::vector<Dbm>& powers) {
   ASSERT_EQ(txs.size(), powers.size());
   std::vector<RxEvent> events;
   for (std::size_t i = 0; i < txs.size(); ++i) {
     events.push_back(RxEvent{txs[i], powers[i]});
   }
-  GatewayRadio scalar_radio = make_radio();
-  const auto scalar = scalar_radio.process(events);
-
-  WindowTxTable table;
-  table.build(txs);
-  std::vector<std::uint32_t> tx_index(txs.size());
-  std::iota(tx_index.begin(), tx_index.end(), 0u);
-  const RxEventView view{&table, tx_index.data(), powers.data(), txs.size()};
-  GatewayRadio batched_radio = make_radio();
-  const auto batched = batched_radio.process(view);
-  expect_outcomes_equal(scalar, batched);
+  GatewayRadio radio = make_radio();
+  EXPECT_EQ(digest_hex(outcome_digest(radio.process(events))),
+            oracle::scalar_digest(std::string("BatchPipeline.") + test, "-"));
 }
 
 TEST(BatchPipeline, SingleCandidateWindow) {
   const auto tx = make_tx(1, kSpec.grid_channel(3), SpreadingFactor::kSF9,
                           Seconds{0.01});
-  expect_pipelines_agree({tx}, {Dbm{-90.0}});
+  expect_matches_oracle("SingleCandidateWindow", {tx}, {Dbm{-90.0}});
 }
 
 TEST(BatchPipeline, AllCandidatesBelowSensitivity) {
@@ -130,8 +107,8 @@ TEST(BatchPipeline, AllCandidatesBelowSensitivity) {
                           Seconds{0.002 * i}));
     powers.push_back(Dbm{-200.0});
   }
-  expect_pipelines_agree(txs, powers);
-  // And the fates really are "not detected" in both modes.
+  expect_matches_oracle("AllCandidatesBelowSensitivity", txs, powers);
+  // And the fates really are "not detected".
   GatewayRadio radio = make_radio();
   std::vector<RxEvent> events;
   for (std::size_t i = 0; i < txs.size(); ++i) {
@@ -172,7 +149,7 @@ TEST(BatchPipeline, CountingSortBucketSeams) {
   // Cross-SF interferer in bucket 1.
   txs.push_back(make_tx(id++, ch1, SpreadingFactor::kSF12, Seconds{0.000}));
   powers.push_back(Dbm{-60.0});
-  expect_pipelines_agree(txs, powers);
+  expect_matches_oracle("CountingSortBucketSeams", txs, powers);
 }
 
 TEST(BatchPipeline, PartialOverlapLookbackAtBucketEdges) {
@@ -199,7 +176,7 @@ TEST(BatchPipeline, PartialOverlapLookbackAtBucketEdges) {
   // packet only.
   txs.push_back(make_tx(id++, offset, SpreadingFactor::kSF7, Seconds{0.91}));
   powers.push_back(Dbm{-58.0});
-  expect_pipelines_agree(txs, powers);
+  expect_matches_oracle("PartialOverlapLookbackAtBucketEdges", txs, powers);
 }
 
 TEST(BatchPipeline, SixtyFiveCandidateWindow) {
@@ -217,7 +194,7 @@ TEST(BatchPipeline, SixtyFiveCandidateWindow) {
                           Seconds{rng.uniform(0.0, 0.2)}));
     powers.push_back(Dbm{rng.uniform(-130.0, -60.0)});
   }
-  expect_pipelines_agree(txs, powers);
+  expect_matches_oracle("SixtyFiveCandidateWindow", txs, powers);
 }
 
 // ---- runner-level seams --------------------------------------------------
@@ -227,8 +204,8 @@ struct RunnerOutcome {
   std::size_t delivered = 0;
 };
 
-RunnerOutcome runner_digest(int batch, int gateways, int nodes,
-                            std::uint64_t seed, Dbm tx_power = Dbm{14.0}) {
+RunnerOutcome runner_digest(int gateways, int nodes, std::uint64_t seed,
+                            Dbm tx_power = Dbm{14.0}) {
   Deployment deployment(Region{Meters{1000.0}, Meters{1000.0}},
                         spectrum_1m6(), ChannelModelConfig{});
   auto& network = deployment.add_network("op");
@@ -244,40 +221,36 @@ RunnerOutcome runner_digest(int batch, int gateways, int nodes,
   }
   PacketIdSource ids;
   const auto txs = concurrent_burst(nodes_ptr, Seconds{0.0}, ids);
-  RunOptions options;
-  options.batch = batch;
-  ScenarioRunner runner(deployment, seed, options);
+  ScenarioRunner runner(deployment, seed);
   const auto result = runner.run_window(txs);
   return RunnerOutcome{fate_digest(result.fates), result.total_delivered()};
 }
 
 TEST(BatchPipeline, MaskFallbackBeyond64GatewayColumns) {
   // 65 gateways in one shard slice disable the 64-bit candidacy mask
-  // (sh.use_mask = false): the batched gather must agree with the scalar
-  // path through the range-list fallback too.
-  const RunnerOutcome scalar = runner_digest(/*batch=*/0, /*gateways=*/65,
-                                             /*nodes=*/24, /*seed=*/42);
-  const RunnerOutcome batched = runner_digest(/*batch=*/1, /*gateways=*/65,
-                                              /*nodes=*/24, /*seed=*/42);
-  EXPECT_EQ(digest_hex(batched.digest), digest_hex(scalar.digest));
+  // (sh.use_mask = false): the batched gather must reproduce the scalar
+  // reference through the range-list fallback too.
+  const RunnerOutcome batched = runner_digest(/*gateways=*/65, /*nodes=*/24,
+                                              /*seed=*/42);
+  EXPECT_EQ(digest_hex(batched.digest),
+            oracle::scalar_digest(
+                "BatchPipeline.MaskFallbackBeyond64GatewayColumns", "42"));
   // The window must be live, or the comparison proves nothing.
-  EXPECT_GT(scalar.delivered, 0u);
+  EXPECT_GT(batched.delivered, 0u);
 }
 
 TEST(BatchPipeline, AllPrunedWindowMatchesScalar) {
   // Transmit powers so low every (tx, gateway) candidate is pruned before
   // the fading draw: the batched per-gateway batches are all empty.
   const Dbm whisper{-80.0};
-  const RunnerOutcome scalar =
-      runner_digest(/*batch=*/0, /*gateways=*/3, /*nodes=*/12, /*seed=*/43,
-                    whisper);
-  const RunnerOutcome batched =
-      runner_digest(/*batch=*/1, /*gateways=*/3, /*nodes=*/12, /*seed=*/43,
-                    whisper);
-  EXPECT_EQ(digest_hex(batched.digest), digest_hex(scalar.digest));
+  const RunnerOutcome batched = runner_digest(/*gateways=*/3, /*nodes=*/12,
+                                              /*seed=*/43, whisper);
+  EXPECT_EQ(digest_hex(batched.digest),
+            oracle::scalar_digest("BatchPipeline.AllPrunedWindowMatchesScalar",
+                                  "43"));
   // If anything was delivered, the window was not all-pruned and the test
   // is not exercising the empty-batch kernels.
-  EXPECT_EQ(scalar.delivered, 0u);
+  EXPECT_EQ(batched.delivered, 0u);
 }
 
 }  // namespace
