@@ -126,6 +126,20 @@ void BM_CpSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_CpSolve)->Unit(benchmark::kMillisecond)->Arg(4000)->Arg(8000)->Arg(12000)->Iterations(1);
 
+// One GA fitness evaluation at the capacity_upgrade shape (4 gateways x
+// 3,000 nodes x 24 channels), against the per-solve reach index.
+void BM_CpEvaluate(benchmark::State& state) {
+  const auto inst = solver_instance(3000, 4);
+  const CpReachIndex index(inst);
+  const CpSolution plan = greedy_seed(inst);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(evaluate(index, plan));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(inst.nodes.size()));
+}
+BENCHMARK(BM_CpEvaluate)->Unit(benchmark::kMicrosecond);
+
 // ---- parallel-speedup table (threads x {GA solve, 1k-node window}) --------
 // Results are bit-identical at every thread count (see docs/parallelism.md);
 // only wall-clock time moves. The Arg is the explicit thread count, so the

@@ -1,8 +1,11 @@
 #include "core/cp_problem.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace alphawan {
 
@@ -10,6 +13,9 @@ bool CpInstance::valid() const {
   if (num_channels <= 0 || gateways.empty()) return false;
   for (const auto& node : nodes) {
     if (node.min_level.size() != gateways.size()) return false;
+    for (const auto level : node.min_level) {
+      if (level >= kNumLevels && level != kUnreachable) return false;
+    }
   }
   return pair_capacity.size() == static_cast<std::size_t>(kNumDataRates);
 }
@@ -112,38 +118,103 @@ void repair(const CpInstance& instance, CpSolution& solution) {
   }
 }
 
+CpReachIndex::CpReachIndex(const CpInstance& instance)
+    : instance_(&instance),
+      words_((instance.gateways.size() + 63) / 64),
+      traffic_(instance.nodes.size()),
+      reach_(instance.nodes.size() * kNumLevels * words_, 0) {
+  for (std::size_t i = 0; i < instance.nodes.size(); ++i) {
+    const auto& node = instance.nodes[i];
+    traffic_[i] = node.traffic;
+    for (std::size_t j = 0; j < instance.gateways.size(); ++j) {
+      // Reachability is monotone in the level: set bit j from min_level up.
+      for (int level = node.min_level[j]; level < kNumLevels; ++level) {
+        reach_[(i * kNumLevels + static_cast<std::size_t>(level)) * words_ +
+               j / 64] |= 1ULL << (j % 64);
+      }
+    }
+  }
+}
+
 CpEvaluation evaluate(const CpInstance& instance, const CpSolution& solution,
                       const CpWeights& weights) {
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("evaluate: ") + what);
+  };
+  if (!instance.valid()) fail("invalid CP instance");
+  if (solution.gateway_channels.size() != instance.gateways.size() ||
+      solution.node_channel.size() != instance.nodes.size() ||
+      solution.node_level.size() != instance.nodes.size()) {
+    fail("solution sizes do not match the instance");
+  }
+  const auto channel_ok = [&](std::int32_t c) {
+    return c >= 0 && c < instance.num_channels;
+  };
+  for (const auto& chans : solution.gateway_channels) {
+    if (!std::all_of(chans.begin(), chans.end(), channel_ok)) {
+      fail("gateway channel out of range");
+    }
+  }
+  for (std::size_t i = 0; i < instance.nodes.size(); ++i) {
+    if (!channel_ok(solution.node_channel[i])) {
+      fail("node channel out of range");
+    }
+    if (solution.node_level[i] < 0 || solution.node_level[i] >= kNumLevels) {
+      fail("node level out of range");
+    }
+  }
+  return evaluate(CpReachIndex(instance), solution, weights);
+}
+
+// The serving set of node i is reach(i, level) & chan_gw[channel]. Both
+// passes visit its set bits in ascending gateway order and the nodes in
+// order, so each gateway_load[j] is a node-order sum and best_phi folds in
+// gateway order: every field is bit-identical to the straight per-node,
+// per-gateway loop (tests/cp_reference.hpp).
+CpEvaluation evaluate(const CpReachIndex& index, const CpSolution& solution,
+                      const CpWeights& weights) {
+  const CpInstance& instance = index.instance();
   assert(feasible(instance, solution));
   CpEvaluation eval;
   const std::size_t num_gw = instance.gateways.size();
   const std::size_t num_nodes = instance.nodes.size();
+  const std::size_t words = index.words();
 
-  // Channel masks per gateway (grid sizes used in practice are <= 64).
-  std::vector<std::uint64_t> gw_mask(num_gw, 0);
+  // One gateway mask row per grid channel: bit j set iff gateway j
+  // operates the channel.
+  std::vector<std::uint64_t> chan_gw(
+      static_cast<std::size_t>(instance.num_channels) * words, 0);
   for (std::size_t j = 0; j < num_gw; ++j) {
     for (const auto c : solution.gateway_channels[j]) {
-      if (c < 64) gw_mask[j] |= (1ULL << c);
+      chan_gw[static_cast<std::size_t>(c) * words + j / 64] |=
+          1ULL << (j % 64);
     }
   }
+  const auto for_each_server = [&](std::size_t i, auto&& visit) {
+    const std::uint64_t* reach = index.reach(i, solution.node_level[i]);
+    const std::uint64_t* row =
+        chan_gw.data() +
+        static_cast<std::size_t>(solution.node_channel[i]) * words;
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = reach[w] & row[w]; bits != 0;
+           bits &= bits - 1) {
+        visit(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  };
 
   // Pass 1: gateway loads k_j and per-(channel, dr) pair loads.
   eval.gateway_load.assign(num_gw, 0.0);
   std::vector<double> pair_load(
       static_cast<std::size_t>(instance.num_channels) * kNumDataRates, 0.0);
   for (std::size_t i = 0; i < num_nodes; ++i) {
-    const auto& node = instance.nodes[i];
-    const int ch = solution.node_channel[i];
-    const int level = solution.node_level[i];
-    const std::uint64_t bit = ch < 64 ? (1ULL << ch) : 0;
-    for (std::size_t j = 0; j < num_gw; ++j) {
-      if (node.min_level[j] <= level && (gw_mask[j] & bit)) {
-        eval.gateway_load[j] += node.traffic;
-      }
-    }
-    const int dr = dr_value(level_to_dr(level));
-    pair_load[static_cast<std::size_t>(ch) * kNumDataRates + dr] +=
-        node.traffic;
+    const double traffic = index.traffic(i);
+    for_each_server(i,
+                    [&](std::size_t j) { eval.gateway_load[j] += traffic; });
+    const auto ch = static_cast<std::size_t>(solution.node_channel[i]);
+    const auto dr = static_cast<std::size_t>(
+        dr_value(level_to_dr(solution.node_level[i])));
+    pair_load[ch * kNumDataRates + dr] += traffic;
   }
 
   // Gateway overload phi_j, normalized to the expected FRACTION of this
@@ -160,23 +231,18 @@ CpEvaluation evaluate(const CpInstance& instance, const CpSolution& solution,
 
   // Pass 2: node risk Phi_i = min phi over serving gateways.
   for (std::size_t i = 0; i < num_nodes; ++i) {
-    const auto& node = instance.nodes[i];
-    const int ch = solution.node_channel[i];
-    const int level = solution.node_level[i];
-    const std::uint64_t bit = ch < 64 ? (1ULL << ch) : 0;
+    const double traffic = index.traffic(i);
     double best_phi = -1.0;
-    for (std::size_t j = 0; j < num_gw; ++j) {
-      if (node.min_level[j] <= level && (gw_mask[j] & bit)) {
-        if (best_phi < 0.0 || phi[j] < best_phi) best_phi = phi[j];
-      }
-    }
+    for_each_server(i, [&](std::size_t j) {
+      if (best_phi < 0.0 || phi[j] < best_phi) best_phi = phi[j];
+    });
     if (best_phi < 0.0) {
-      eval.disconnected += node.traffic;
+      eval.disconnected += traffic;
     } else {
-      eval.overload_risk += node.traffic * best_phi;
+      eval.overload_risk += traffic * best_phi;
     }
-    eval.level_bias += weights.level_cost * node.traffic *
-                       static_cast<double>(level);
+    eval.level_bias += weights.level_cost * traffic *
+                       static_cast<double>(solution.node_level[i]);
   }
   eval.objective += eval.level_bias;
 

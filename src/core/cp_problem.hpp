@@ -12,6 +12,7 @@
 // an evolutionary algorithm seeded by a greedy constructor.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -61,6 +62,8 @@ struct CpInstance {
   // 1.0: one user per channel/SF pair, the oracle assumption.
   std::vector<double> pair_capacity = std::vector<double>(kNumDataRates, 1.0);
 
+  // Channels and gateways present, one min_level per gateway on every
+  // node, each a level or kUnreachable, and one pair capacity per DR.
   [[nodiscard]] bool valid() const;
 
   // Total decoder resources vs. total traffic (quick feasibility signal).
@@ -107,10 +110,48 @@ struct CpEvaluation {
   }
 };
 
-// Evaluate a solution. Infeasible gateway channel sets (too many channels
-// or span too wide) must be repaired before evaluation; evaluate() trusts
-// its input (checked in debug builds).
+// The solution-independent part of an instance, laid out for the fitness
+// kernel: node traffic as one flat column, and for each (node, level) pair
+// a gateway-reach bitmask of words() words whose bit j is set iff
+// min_level[j] <= level. Built once per instance (solve_cp builds one per
+// solve) from a valid() instance, which it refers to and which must
+// outlive it.
+class CpReachIndex {
+ public:
+  explicit CpReachIndex(const CpInstance& instance);
+
+  [[nodiscard]] const CpInstance& instance() const { return *instance_; }
+  // ceil(gateways / 64).
+  [[nodiscard]] std::size_t words() const { return words_; }
+  [[nodiscard]] double traffic(std::size_t node) const {
+    return traffic_[node];
+  }
+  // The words() mask words of the gateways `node` reaches at `level`.
+  [[nodiscard]] const std::uint64_t* reach(std::size_t node, int level) const {
+    return reach_.data() +
+           (node * kNumLevels + static_cast<std::size_t>(level)) * words_;
+  }
+
+ private:
+  const CpInstance* instance_;
+  std::size_t words_;
+  std::vector<double> traffic_;
+  std::vector<std::uint64_t> reach_;
+};
+
+// Evaluate a solution. Throws std::invalid_argument when the instance is
+// not valid() or the solution does not index into it: vector sizes that do
+// not match, or a node channel, node level or gateway channel out of
+// range. Gateway channel sets must also be feasible (channel count and
+// span, checked in debug builds only): repair() them first.
 [[nodiscard]] CpEvaluation evaluate(const CpInstance& instance,
+                                    const CpSolution& solution,
+                                    const CpWeights& weights = CpWeights{});
+
+// The fitness kernel against a prebuilt index, for callers that score many
+// solutions of one instance. Trusts its input (feasibility is checked in
+// debug builds): pass only repaired solutions.
+[[nodiscard]] CpEvaluation evaluate(const CpReachIndex& index,
                                     const CpSolution& solution,
                                     const CpWeights& weights = CpWeights{});
 

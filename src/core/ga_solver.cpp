@@ -1,6 +1,7 @@
 #include "core/ga_solver.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "common/parallel.hpp"
@@ -34,18 +35,18 @@ struct Individual {
   bool evaluated = false;
 };
 
-// Reachable gateway list per node (any level).
-std::vector<std::vector<std::int32_t>> reachable_gateways(
-    const CpInstance& instance) {
-  std::vector<std::vector<std::int32_t>> reach(instance.nodes.size());
-  for (std::size_t i = 0; i < instance.nodes.size(); ++i) {
-    for (std::size_t j = 0; j < instance.gateways.size(); ++j) {
-      if (instance.nodes[i].min_level[j] != kUnreachable) {
-        reach[i].push_back(static_cast<std::int32_t>(j));
-      }
+// Position of the k-th set bit (0-based, ascending) of a multi-word mask;
+// k must be below the mask's popcount.
+std::size_t nth_set_bit(const std::uint64_t* mask, std::size_t k) {
+  for (std::size_t w = 0;; ++w) {
+    std::uint64_t bits = mask[w];
+    const auto count = static_cast<std::size_t>(std::popcount(bits));
+    if (k < count) {
+      for (; k > 0; --k) bits &= bits - 1;
+      return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
     }
+    k -= count;
   }
-  return reach;
 }
 
 void randomize_gateway(const CpInstance& instance, const GaConfig& config,
@@ -63,9 +64,9 @@ void randomize_gateway(const CpInstance& instance, const GaConfig& config,
   for (int c = start; c < start + width; ++c) chans.push_back(c);
 }
 
-void mutate(const CpInstance& instance, const GaConfig& config,
-            const std::vector<std::vector<std::int32_t>>& reach,
+void mutate(const CpReachIndex& index, const GaConfig& config,
             bool nodes_frozen, CpSolution& s, Rng& rng) {
+  const CpInstance& instance = index.instance();
   // Gateway genes.
   for (std::size_t j = 0; j < instance.gateways.size(); ++j) {
     if (!rng.chance(config.mutation_rate * 10.0)) continue;
@@ -95,9 +96,15 @@ void mutate(const CpInstance& instance, const GaConfig& config,
   if (!nodes_frozen) {
     for (std::size_t i = 0; i < instance.nodes.size(); ++i) {
       if (!rng.chance(config.mutation_rate)) continue;
-      if (reach[i].empty()) continue;
-      const auto j = static_cast<std::size_t>(reach[i][static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(reach[i].size()) - 1))]);
+      // Gateways the node reaches at any level: the top level's mask.
+      const std::uint64_t* reach = index.reach(i, kNumLevels - 1);
+      std::int64_t reachable = 0;
+      for (std::size_t w = 0; w < index.words(); ++w) {
+        reachable += std::popcount(reach[w]);
+      }
+      if (reachable == 0) continue;
+      const std::size_t j = nth_set_bit(
+          reach, static_cast<std::size_t>(rng.uniform_int(0, reachable - 1)));
       const auto& gw_chans = s.gateway_channels[j];
       if (!gw_chans.empty() && rng.chance(0.7)) {
         s.node_channel[i] = gw_chans[static_cast<std::size_t>(rng.uniform_int(
@@ -120,11 +127,14 @@ CpSolution crossover(const CpInstance& instance, bool nodes_frozen,
     if (rng.chance(0.5)) child.gateway_channels[j] = b.gateway_channels[j];
   }
   if (!nodes_frozen) {
+    // Branch-free uniform select: one draw per node, in node order; the
+    // all-ones mask takes b's genes.
     for (std::size_t i = 0; i < instance.nodes.size(); ++i) {
-      if (rng.chance(0.5)) {
-        child.node_channel[i] = b.node_channel[i];
-        child.node_level[i] = b.node_level[i];
-      }
+      const std::int32_t take_b = -static_cast<std::int32_t>(rng.chance(0.5));
+      child.node_channel[i] =
+          (a.node_channel[i] & ~take_b) | (b.node_channel[i] & take_b);
+      child.node_level[i] =
+          (a.node_level[i] & ~take_b) | (b.node_level[i] & take_b);
     }
   }
   return child;
@@ -136,23 +146,8 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
   if (!instance.valid()) {
     throw std::invalid_argument("solve_cp: invalid CP instance");
   }
-  // Resolve the node-freezing request: the typed frozen_nodes field, or the
-  // deprecated freeze_nodes + initial pair (still validated at runtime for
-  // external callers on the old API).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const bool legacy_freeze = config.freeze_nodes;
-#pragma GCC diagnostic pop
-  const CpSolution* frozen = nullptr;
-  if (config.frozen_nodes) {
-    frozen = &config.frozen_nodes->solution;
-  } else if (legacy_freeze) {
-    if (!config.initial) {
-      throw std::invalid_argument(
-          "solve_cp: freeze_nodes requires an initial solution");
-    }
-    frozen = &*config.initial;
-  }
+  const CpSolution* frozen =
+      config.frozen_nodes ? &config.frozen_nodes->solution : nullptr;
   const bool nodes_frozen = frozen != nullptr;
   // Population seed: an explicit initial wins; a frozen solution doubles as
   // the seed otherwise.
@@ -160,7 +155,7 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
       config.initial ? &*config.initial : frozen;
 
   Rng rng(config.seed);
-  const auto reach = reachable_gateways(instance);
+  const CpReachIndex index(instance);
   GaResult result;
 
   // Prepare + score one individual. Pure in the individual given the
@@ -175,7 +170,7 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
       ind.solution.node_channel = frozen->node_channel;
       ind.solution.node_level = frozen->node_level;
     }
-    ind.eval = evaluate(instance, ind.solution, config.weights);
+    ind.eval = evaluate(index, ind.solution, config.weights);
     ind.evaluated = true;
   };
   // Evaluate every not-yet-scored individual concurrently. Results land in
@@ -236,7 +231,7 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
         randomize_gateway(instance, config, ind.solution, j, rng);
       }
     }
-    mutate(instance, config, reach, nodes_frozen, ind.solution, rng);
+    mutate(index, config, nodes_frozen, ind.solution, rng);
     population.push_back(std::move(ind));
   }
   evaluate_pending(population);
@@ -281,7 +276,7 @@ GaResult solve_cp(const CpInstance& instance, const GaConfig& config) {
       } else {
         child.solution = p1.solution;
       }
-      mutate(instance, config, reach, nodes_frozen, child.solution, rng);
+      mutate(index, config, nodes_frozen, child.solution, rng);
       next.push_back(std::move(child));
     }
     evaluate_pending(next);

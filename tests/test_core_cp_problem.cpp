@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.hpp"
 
 namespace alphawan {
@@ -193,6 +195,75 @@ TEST(CpProblem, UnreachableLevelBlocksLink) {
   s.node_level[0] = 3;
   eval = evaluate(inst, s);
   EXPECT_DOUBLE_EQ(eval.disconnected, 0.0);
+}
+
+TEST(CpProblem, EvaluateServesChannelsAbove64) {
+  // An 80-channel grid: gateway 1 operates 70..73, gateway 2 operates 0..3.
+  // Nodes on channels >= 64 are served like any other.
+  CpInstance inst = small_instance();
+  inst.num_channels = 80;
+  inst.spectrum = Spectrum{Hz{916.8e6}, 80 * kChannelSpacing};
+  CpSolution s = CpSolution::empty_for(inst);
+  s.gateway_channels[0] = {70, 71, 72, 73};
+  s.gateway_channels[1] = {0, 1, 2, 3};
+  for (std::size_t i = 0; i < inst.nodes.size(); ++i) {
+    s.node_channel[i] = i < 4 ? static_cast<std::int32_t>(70 + i) : 79;
+    s.node_level[i] = 0;
+  }
+  ASSERT_TRUE(feasible(inst, s));
+  const auto eval = evaluate(inst, s);
+  EXPECT_DOUBLE_EQ(eval.gateway_load[0], 4.0);
+  EXPECT_DOUBLE_EQ(eval.gateway_load[1], 0.0);
+  // Only the two nodes on channel 79, which no gateway operates.
+  EXPECT_DOUBLE_EQ(eval.disconnected, 2.0);
+}
+
+TEST(CpProblem, EvaluateRejectsSolutionsOutsideTheInstance) {
+  const auto inst = small_instance();
+  const auto good = trivial_solution(inst);
+  ASSERT_NO_THROW((void)evaluate(inst, good));
+
+  auto short_gateways = good;
+  short_gateways.gateway_channels.pop_back();
+  EXPECT_THROW((void)evaluate(inst, short_gateways), std::invalid_argument);
+  auto short_channels = good;
+  short_channels.node_channel.pop_back();
+  EXPECT_THROW((void)evaluate(inst, short_channels), std::invalid_argument);
+  auto short_levels = good;
+  short_levels.node_level.pop_back();
+  EXPECT_THROW((void)evaluate(inst, short_levels), std::invalid_argument);
+
+  for (const std::int32_t bad : {-1, 8}) {
+    auto node_channel = good;
+    node_channel.node_channel[2] = bad;
+    EXPECT_THROW((void)evaluate(inst, node_channel), std::invalid_argument)
+        << "node channel " << bad;
+    auto gateway_channel = good;
+    gateway_channel.gateway_channels[1].back() = bad;
+    EXPECT_THROW((void)evaluate(inst, gateway_channel), std::invalid_argument)
+        << "gateway channel " << bad;
+  }
+  for (const std::int32_t bad : {-1, kNumLevels}) {
+    auto level = good;
+    level.node_level[3] = bad;
+    EXPECT_THROW((void)evaluate(inst, level), std::invalid_argument)
+        << "node level " << bad;
+  }
+}
+
+TEST(CpProblem, EvaluateRejectsInvalidInstance) {
+  CpInstance inst = small_instance();
+  const auto s = trivial_solution(inst);
+  inst.nodes[0].min_level.pop_back();
+  EXPECT_THROW((void)evaluate(inst, s), std::invalid_argument);
+}
+
+TEST(CpProblem, MinLevelMustBeALevelOrUnreachable) {
+  CpInstance inst = small_instance();
+  inst.nodes[0].min_level[1] = kUnreachable;
+  EXPECT_TRUE(inst.valid());
+  inst.nodes[0].min_level[1] = kNumLevels;
+  EXPECT_FALSE(inst.valid());
 }
 
 TEST(CpProblem, LevelDrMapping) {
