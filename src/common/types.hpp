@@ -2,9 +2,12 @@
 // AlphaWAN subsystems.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "common/units.hpp"
 
@@ -21,6 +24,23 @@ inline constexpr NodeId kInvalidNode = std::numeric_limits<NodeId>::max();
 inline constexpr GatewayId kInvalidGateway =
     std::numeric_limits<GatewayId>::max();
 inline constexpr ChannelIndex kInvalidChannel = -1;
+
+// ---- 32-bit index columns ----------------------------------------------
+// The per-window index columns (transmission indices, link-cache rows,
+// node-directory keys, event positions) are 32 bits wide and reserve the
+// all-ones value as their "absent" sentinel (LinkCache::kInvalidRow).
+inline constexpr std::uint32_t kInvalidIndex32 =
+    std::numeric_limits<std::uint32_t>::max();
+
+// Narrow an index or count into a 32-bit index column. A value at or above
+// the sentinel would wrap or alias it, so it throws std::length_error.
+[[nodiscard]] inline std::uint32_t to_index32(std::size_t value) {
+  if (value >= kInvalidIndex32) {
+    throw std::length_error("index " + std::to_string(value) +
+                            " does not fit a 32-bit index column");
+  }
+  return static_cast<std::uint32_t>(value);
+}
 
 // Gateways enter the shadowing-cache keyspace (phy/channel_model.hpp) offset
 // by this base so node ids and gateway ids can never collide as link

@@ -19,9 +19,24 @@ std::uint32_t LinkCache::column_of(GatewayId id) const {
   return it == column_of_.end() ? kInvalidColumn : it->second;
 }
 
-std::uint32_t LinkCache::row_of(NodeId node) const {
-  const auto it = slot_of_.find(node);
-  return it == slot_of_.end() ? kInvalidRow : it->second.row;
+NodeKey NodeDirectory::intern(NodeId node) {
+  const auto [it, inserted] = key_of_.try_emplace(node, 0);
+  if (inserted) it->second = to_index32(key_of_.size() - 1);
+  return it->second;
+}
+
+NodeKey NodeDirectory::find(NodeId node) const {
+  const auto it = key_of_.find(node);
+  return it == key_of_.end() ? kInvalidKey : it->second;
+}
+
+std::uint32_t LinkCache::row_of(NodeKey key) const {
+  return key < slots_.size() ? slots_[key].row : kInvalidRow;
+}
+
+LinkCache::NodeSlot& LinkCache::slot_of(NodeKey key) {
+  if (key >= slots_.size()) slots_.resize(std::size_t{key} + 1);
+  return slots_[key];
 }
 
 LinkGain LinkCache::compute_gain(const Column& column, NodeId node,
@@ -73,8 +88,9 @@ std::size_t LinkCache::upsert_gateway(GatewayId id, std::uint64_t rx_key,
   return index;
 }
 
-std::uint32_t LinkCache::ensure_row(NodeId node, const Point& origin) {
-  NodeSlot& slot = slot_of_[node];
+std::uint32_t LinkCache::ensure_row(NodeKey key, NodeId node,
+                                    const Point& origin) {
+  NodeSlot& slot = slot_of(key);
   if (slot.row != kInvalidRow) return refresh_row(slot.row, node, origin);
   for (auto& column : columns_) {
     column.gains.push_back(compute_gain(column, node, origin));
@@ -97,17 +113,18 @@ std::uint32_t LinkCache::refresh_row(std::uint32_t row, NodeId node,
 
 std::uint32_t LinkCache::append_row(NodeSlot& slot, NodeId node,
                                     const Point& origin) {
-  slot.row = static_cast<std::uint32_t>(row_origin_.size());
+  slot.row = to_index32(row_origin_.size());
   row_node_.push_back(node);
   row_origin_.push_back(origin);
   if (candidates_valid_) append_candidates_for_row(slot.row);
   return slot.row;
 }
 
-std::uint32_t LinkCache::ensure_row_if_audible(NodeId node, const Point& origin,
-                                               Dbm floor, Dbm power_bound) {
+std::uint32_t LinkCache::ensure_row_if_audible(NodeKey key, NodeId node,
+                                               const Point& origin, Dbm floor,
+                                               Dbm power_bound) {
   const double threshold = audible_threshold(floor, power_bound);
-  NodeSlot& slot = slot_of_[node];
+  NodeSlot& slot = slot_of(key);
   if (slot.row != kInvalidRow) {
     // Already materialized: take the ensure_row refresh path. The row stays
     // resident even if it has drifted inaudible — its candidate list just
@@ -134,7 +151,7 @@ std::uint32_t LinkCache::ensure_row_if_audible(NodeId node, const Point& origin,
   }
   if (!audible) {
     if (slot.rejection == kInvalidRow) {
-      slot.rejection = static_cast<std::uint32_t>(rejections_.size());
+      slot.rejection = to_index32(rejections_.size());
       rejections_.emplace_back();
     }
     rejections_[slot.rejection] =

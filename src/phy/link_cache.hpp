@@ -32,6 +32,11 @@
 // (audible) links instead of the full node x gateway cross product, and
 // every slice computes the same LinkGain values a monolithic cache would,
 // so any partition of the columns is bit-identical (docs/sharding.md).
+//
+// Transmitters are addressed by a dense NodeKey from one NodeDirectory
+// shared by every slice: the runner hashes each transmission's NodeId once
+// per window, so a slice keeps its per-node state in a flat vector indexed
+// by the key and makes no hash probe of its own.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +49,29 @@
 #include "phy/channel_model.hpp"
 
 namespace alphawan {
+
+// Dense index of a transmitter id in a NodeDirectory.
+using NodeKey = std::uint32_t;
+
+// NodeId -> NodeKey, assigning keys 0, 1, 2, ... in first-intern order.
+// Keys are never reused or removed, so a key stays valid as an index into
+// every per-key vector for the directory's lifetime. Not synchronized:
+// concurrent find() calls are safe, but intern() must run alone (the runner
+// looks ids up concurrently, then interns the new ones serially).
+class NodeDirectory {
+ public:
+  static constexpr NodeKey kInvalidKey = kInvalidIndex32;
+
+  // The key of `node`, assigned on its first intern.
+  NodeKey intern(NodeId node);
+  // The key of `node`; kInvalidKey if it was never interned.
+  [[nodiscard]] NodeKey find(NodeId node) const;
+
+ private:
+  // ALPHAWAN-LINT-ALLOW(determinism-unordered-member: keyed lookups only;
+  // keys follow intern call order, never the map's iteration order)
+  std::unordered_map<NodeId, NodeKey> key_of_;
+};
 
 // The frozen static terms of one (node, gateway) link.
 struct LinkGain {
@@ -72,8 +100,9 @@ class LinkCache {
   // Register a transmitter row (idempotent), extending every column with
   // the link's static terms. A registered id whose origin later differs —
   // a traffic generator reusing virtual ids for different positions — is
-  // recomputed in place. Returns the row index.
-  std::uint32_t ensure_row(NodeId node, const Point& origin);
+  // recomputed in place. `key` is the node's NodeDirectory key (one
+  // directory must serve every call on this cache). Returns the row index.
+  std::uint32_t ensure_row(NodeKey key, NodeId node, const Point& origin);
 
   // Like ensure_row, but materializes the row only if the node is audible
   // here — some column's static gain clears the same conservative bound
@@ -82,15 +111,17 @@ class LinkCache {
   // kInvalidRow on rejection; rejections are memoized per (origin,
   // column-structure, audibility bound) so steady-state windows don't
   // re-probe. A row that already exists is refreshed like ensure_row and
-  // kept resident. Either way the probe costs one hash lookup.
-  static constexpr std::uint32_t kInvalidRow = ~0U;
+  // kept resident. Either way the probe is one indexed load.
+  static constexpr std::uint32_t kInvalidRow = kInvalidIndex32;
   // ALPHAWAN-LINT-ALLOW(units-swappable-pair: (floor, power_bound) is
   // floor-first at every audibility call site, as below)
-  std::uint32_t ensure_row_if_audible(NodeId node, const Point& origin,
-                                      Dbm floor, Dbm power_bound);
+  std::uint32_t ensure_row_if_audible(NodeKey key, NodeId node,
+                                      const Point& origin, Dbm floor,
+                                      Dbm power_bound);
 
-  // Row index of a registered transmitter id; kInvalidRow if absent.
-  [[nodiscard]] std::uint32_t row_of(NodeId node) const;
+  // Row index of the transmitter with directory key `key`; kInvalidRow if
+  // it has no resident row here.
+  [[nodiscard]] std::uint32_t row_of(NodeKey key) const;
 
   // Bumped whenever the column set or an antenna changes — anything that
   // can turn an inaudible node audible invalidates rejection memos.
@@ -144,11 +175,11 @@ class LinkCache {
     std::vector<LinkGain> gains;  // indexed by row
   };
 
-  // What the cache knows about one probed transmitter id: its resident
-  // row, or the index of its rejection memo in rejections_. Kept to eight
-  // bytes so the map node of a resident row is as small as a bare index.
-  // An id owns at most one memo for the cache's lifetime; once the id is
-  // resident its memo is never read again.
+  // What the cache knows about one transmitter key: its resident row, or
+  // the index of its rejection memo in rejections_ (both kInvalidRow for a
+  // key never probed here). Eight bytes per directory key. A key owns at
+  // most one memo for the cache's lifetime; once it is resident its memo is
+  // never read again.
   struct NodeSlot {
     std::uint32_t row = kInvalidRow;
     std::uint32_t rejection = kInvalidRow;
@@ -166,6 +197,8 @@ class LinkCache {
   // Recompute a resident row in place if `origin` moved; returns `row`.
   std::uint32_t refresh_row(std::uint32_t row, NodeId node,
                             const Point& origin);
+  // The slot of `key`, growing the slot vector to cover it.
+  NodeSlot& slot_of(NodeKey key);
   // Register `node` as a new row in `slot`, once every column's gains
   // vector has been extended by the row's entry. Returns the row index.
   std::uint32_t append_row(NodeSlot& slot, NodeId node, const Point& origin);
@@ -190,9 +223,7 @@ class LinkCache {
 
   std::vector<NodeId> row_node_;
   std::vector<Point> row_origin_;
-  // ALPHAWAN-LINT-ALLOW(determinism-unordered-member: keyed lookups only;
-  // all iteration runs over the row_node_/row_origin_ vectors)
-  std::unordered_map<NodeId, NodeSlot> slot_of_;
+  std::vector<NodeSlot> slots_;  // indexed by NodeKey
   std::vector<Rejection> rejections_;
   std::uint64_t structure_epoch_ = 0;
   std::vector<LinkGain> probe_gains_;  // scratch for the audibility probe
@@ -217,13 +248,16 @@ class LinkCache {
 // LinkGain values a monolithic cache would (the model is a pure function of
 // the link key), so any partition of the columns yields bit-identical
 // physics while each slice's memory tracks only the links audible there.
+// The slices share one NodeDirectory, so a transmission's key is resolved
+// once for all of them.
 class ShardedLinkCache {
  public:
   explicit ShardedLinkCache(ChannelModel& model) : model_(&model) {}
 
   // Drop every slice and start over with `count` empty ones. Gains are
   // recomputed on the next refresh, so re-partitioning mid-run is safe —
-  // and bit-stable, since values depend only on the model.
+  // and bit-stable, since values depend only on the model. The directory
+  // is kept: keys are only indices.
   void reset(std::size_t count) {
     slices_.clear();
     slices_.reserve(count);
@@ -236,8 +270,18 @@ class ShardedLinkCache {
     return slices_[shard];
   }
 
+  [[nodiscard]] NodeDirectory& directory() { return directory_; }
+
+  // Row of transmitter `node` in slice `shard`; kInvalidRow if it has none.
+  [[nodiscard]] std::uint32_t row_of(std::size_t shard, NodeId node) const {
+    const NodeKey key = directory_.find(node);
+    return key == NodeDirectory::kInvalidKey ? LinkCache::kInvalidRow
+                                             : slices_[shard].row_of(key);
+  }
+
  private:
   ChannelModel* model_;
+  NodeDirectory directory_;
   std::vector<LinkCache> slices_;
 };
 

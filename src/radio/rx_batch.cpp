@@ -16,7 +16,8 @@ const WindowTxTable::AirtimeMemo& WindowTxTable::airtime_for(
 }
 
 void WindowTxTable::build(const std::vector<Transmission>& txs) {
-  const std::size_t n = txs.size();
+  // RxEventView indexes the table with 32-bit transmission indices.
+  const std::uint32_t n = to_index32(txs.size());
   start.resize(n);
   end.resize(n);
   lock_on.resize(n);
@@ -27,7 +28,7 @@ void WindowTxTable::build(const std::vector<Transmission>& txs) {
   packet.resize(n);
   node.resize(n);
   sync.resize(n);
-  for (std::size_t t = 0; t < n; ++t) {
+  for (std::uint32_t t = 0; t < n; ++t) {
     const auto& tx = txs[t];
     const auto& airtime = airtime_for(tx);
     start[t] = tx.start;

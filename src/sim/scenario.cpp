@@ -48,9 +48,11 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   // slice (and recomputes antenna gains for gateways whose antenna changed
   // since the last call).
   ShardedLinkCache& caches = deployment_.shard_caches(shard_count);
+  auto& sc = scratch_;
   // Flatten gateways in deployment order: the parallel fan-out runs them in
-  // any order, the merge below walks them in this one.
+  // any order, the merge below walks them in this one, network by network.
   std::vector<Gateway*> tasks;
+  sc.net_task.assign(1, 0);
   for (auto& network : deployment_.networks()) {
     // (Re)attach the checker and capture policy every window: gateways may
     // have been added since the last one, and a null attach detaches stale
@@ -61,9 +63,9 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
       gw.set_capture_policy(options_.capture_policy.get());
       tasks.push_back(&gw);
     }
+    sc.net_task.push_back(to_index32(tasks.size()));
   }
 
-  auto& sc = scratch_;
   const Dbm floor =
       noise_floor_dbm(kLoRaBandwidth125k) - options_.prune_margin;
   const auto shards = static_cast<std::size_t>(shard_count);
@@ -75,10 +77,39 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     Gateway* gw = tasks[t];
     const auto home = static_cast<std::size_t>(layout.shard_of(gw->position()));
-    sc.task_shard[t] = static_cast<std::uint32_t>(home);
+    sc.task_shard[t] = to_index32(home);
     sc.task_col[t] = caches.slice(home).column_of(gw->id());
-    sc.task_slot[t] = static_cast<std::uint32_t>(sc.shards[home].tasks.size());
-    sc.shards[home].tasks.push_back(t);
+    sc.task_slot[t] = to_index32(sc.shards[home].tasks.size());
+    sc.shards[home].tasks.push_back(to_index32(t));
+  }
+
+  // The invariant checker's observer protocol is sequential, so an
+  // attached checker forces every region below serial.
+  const int threads = invariants_ != nullptr ? 1 : options_.threads;
+  // Every per-window index column below is 32 bits wide; narrowing the
+  // transmission count once makes every transmission index fit.
+  const std::uint32_t tx_count = to_index32(txs.size());
+  // Resolve each transmission's directory key and home shard once, not
+  // once per slice: every slice indexes its node state by the key, and the
+  // prepass and the fan-out test border crossings against the home column.
+  // Known ids are looked up concurrently (the directory is only read);
+  // new ids are then interned serially in transmission order, so every
+  // key is what a serial intern pass would assign.
+  NodeDirectory& directory = caches.directory();
+  sc.tx_key.resize(tx_count);
+  sc.tx_home.resize(tx_count);
+  parallel_for(
+      tx_count,
+      [&](std::size_t i) {
+        sc.tx_key[i] = directory.find(txs[i].node);
+        sc.tx_home[i] =
+            static_cast<std::uint32_t>(layout.shard_of(txs[i].origin));
+      },
+      threads);
+  for (std::uint32_t i = 0; i < tx_count; ++i) {
+    if (sc.tx_key[i] == NodeDirectory::kInvalidKey) {
+      sc.tx_key[i] = directory.intern(txs[i].node);
+    }
   }
 
   // Prepass, one task per shard: register every audible transmitter row
@@ -89,12 +120,10 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   // event is lost; ascending tx order is preserved per gateway, so every
   // event list is identical to the monolithic loop's (docs/sharding.md).
   // A shard task writes only its own slice and ShardScratch and reads
-  // nothing shared but txs, the layout, the stateless ChannelModel and the
-  // read-only gateway antenna functors, so the slices run concurrently;
-  // the counters are summed in shard order after the region. The
-  // invariant checker's observer protocol is sequential, so an attached
-  // checker forces both regions below serial.
-  const int threads = invariants_ != nullptr ? 1 : options_.threads;
+  // nothing shared but txs, the key and home columns, the stateless
+  // ChannelModel and the read-only gateway antenna functors, so the slices
+  // run concurrently; the counters are summed in shard order after the
+  // region.
   parallel_for(
       shards,
       [&](std::size_t s) {
@@ -107,27 +136,27 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
         // index order per gateway, so event lists are identical either way.
         sh.use_mask = slice.column_count() <= LinkCache::kMaxMaskColumns;
         sh.boundary_rows = 0;
-        sh.row_of_tx.resize(txs.size());
+        sh.row_of_tx.resize(tx_count);
         if (sh.use_mask) {
-          sh.tx_mask.resize(txs.size());
+          sh.tx_mask.resize(tx_count);
         } else {
           if (sh.gw_txs.size() < slice.column_count()) {
             sh.gw_txs.resize(slice.column_count());
           }
           for (auto& list : sh.gw_txs) list.clear();
         }
-        for (std::size_t i = 0; i < txs.size(); ++i) {
+        for (std::uint32_t i = 0; i < tx_count; ++i) {
           const auto& tx = txs[i];
           // Out-of-spec tx power: the candidate bound does not cover it, so
           // register and consider the transmission at every gateway.
           const bool in_spec = tx.tx_power <= kMaxTxPower;
           const std::uint32_t row =
-              in_spec ? slice.ensure_row_if_audible(tx.node, tx.origin, floor,
+              in_spec ? slice.ensure_row_if_audible(sc.tx_key[i], tx.node,
+                                                    tx.origin, floor,
                                                     kMaxTxPower)
-                      : slice.ensure_row(tx.node, tx.origin);
+                      : slice.ensure_row(sc.tx_key[i], tx.node, tx.origin);
           sh.row_of_tx[i] = row;
-          if (row != LinkCache::kInvalidRow &&
-              layout.shard_of(tx.origin) != static_cast<int>(s)) {
+          if (row != LinkCache::kInvalidRow && sc.tx_home[i] != s) {
             ++sh.boundary_rows;
           }
           if (sh.use_mask) {
@@ -141,11 +170,11 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
           if (in_spec) {
             for (const std::uint32_t col :
                  slice.candidate_columns(row, floor, kMaxTxPower)) {
-              sh.gw_txs[col].push_back(static_cast<std::uint32_t>(i));
+              sh.gw_txs[col].push_back(i);
             }
           } else {
             for (std::uint32_t col = 0; col < slice.column_count(); ++col) {
-              sh.gw_txs[col].push_back(static_cast<std::uint32_t>(i));
+              sh.gw_txs[col].push_back(i);
             }
           }
         }
@@ -163,8 +192,7 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   // consumes them through the batched fading / filter / scan kernels
   // (phy/batch_kernels.hpp) instead of per-event struct walks.
   sc.table.build(txs);
-  if (sc.task_idx.size() < tasks.size()) {
-    sc.task_idx.resize(tasks.size());
+  if (sc.task_fade.size() < tasks.size()) {
     sc.task_fade.resize(tasks.size());
     sc.task_power.resize(tasks.size());
   }
@@ -173,6 +201,8 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   // candidate transmission list and touches only its own gateway (the link
   // cache slices and scratch arenas are read-only / per-task here). Yields
   // land in shard-local staging; the window barrier below publishes them.
+  // Each task also tallies its own border-crossing events and lists its
+  // own-network events, so the serial merge never walks every event.
   auto& staged = sc.staged;
   staged.resize(shards);
   for (std::size_t s = 0; s < shards; ++s) {
@@ -182,8 +212,9 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
       tasks.size(),
       [&](std::size_t t) {
         Gateway* gw = tasks[t];
-        const auto& sh = sc.shards[sc.task_shard[t]];
-        auto& yield = staged[sc.task_shard[t]][sc.task_slot[t]];
+        const std::uint32_t home = sc.task_shard[t];
+        const auto& sh = sc.shards[home];
+        auto& yield = staged[home][sc.task_slot[t]];
         yield.uplinks.clear();
         // Gather the gateway's candidate transmission indices in ascending
         // order, draw their fading in one keyed batch (the same per-packet
@@ -191,17 +222,15 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
         // prune floor. Received power is the cached static link terms plus
         // the draw — ((tx_power - path_loss) + fading) + antenna_gain —
         // term for term.
-        const auto gains = caches.slice(sc.task_shard[t]).gains(sc.task_col[t]);
-        auto& idx = sc.task_idx[t];
+        const auto gains = caches.slice(home).gains(sc.task_col[t]);
+        auto& idx = yield.event_tx_index;
         auto& fade = sc.task_fade[t];
         auto& power = sc.task_power[t];
         idx.clear();
         if (sh.use_mask) {
           const std::uint64_t bit = std::uint64_t{1} << sc.task_col[t];
-          for (std::size_t i = 0; i < txs.size(); ++i) {
-            if (sh.tx_mask[i] & bit) {
-              idx.push_back(static_cast<std::uint32_t>(i));
-            }
+          for (std::uint32_t i = 0; i < tx_count; ++i) {
+            if (sh.tx_mask[i] & bit) idx.push_back(i);
           }
         } else {
           const auto& list = sh.gw_txs[sc.task_col[t]];
@@ -218,9 +247,17 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
             floor, idx.data(), idx.size(), power.data());
         idx.resize(kept);
         power.resize(kept);
-        yield.event_tx_index.assign(idx.begin(), idx.end());
         const RxEventView view{&sc.table, idx.data(), power.data(), kept};
         gw->receive_window(view, yield.uplinks, yield.outcomes);
+        const NetworkId own = gw->network();
+        yield.boundary_events = 0;
+        yield.own_events.clear();
+        const std::uint32_t events = to_index32(kept);
+        for (std::uint32_t e = 0; e < events; ++e) {
+          const std::uint32_t i = idx[e];
+          if (sc.tx_home[i] != home) ++yield.boundary_events;
+          if (sc.table.net[i] == own) yield.own_events.push_back(e);
+        }
       },
       threads);
 
@@ -241,11 +278,7 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
       auto& mine = staged[s];
       const auto& owned = sc.shards[s].tasks;
       for (std::size_t k = 0; k < owned.size(); ++k) {
-        for (const std::size_t i : mine[k].event_tx_index) {
-          if (layout.shard_of(txs[i].origin) != static_cast<int>(s)) {
-            ++shard_stats_.boundary_events;
-          }
-        }
+        shard_stats_.boundary_events += mine[k].boundary_events;
         sc.yield_ptr[owned[k]] = &mine[k];
       }
     });
@@ -257,46 +290,57 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
   // packet's network, and each server ingests its gateways' uplinks in that
   // same order — exactly the serial sequence. The gather is a counted flat
   // layout (count, prefix-sum, fill) instead of one heap vector per packet.
-  sc.own_count.assign(txs.size(), 0);
-  {
-    std::size_t t = 0;
-    for (auto& network : deployment_.networks()) {
-      for ([[maybe_unused]] auto& gw : network.gateways()) {
-        const auto& yield = *sc.yield_ptr[t++];
-        for (const std::size_t i : yield.event_tx_index) {
-          if (txs[i].network == network.id()) ++sc.own_count[i];
+  //
+  // A packet belongs to exactly one network, and only that network's
+  // gateways list it among their own events, so the networks' count and
+  // fill passes write disjoint own_count / own_flat slots, and each feeds
+  // only its own server and uplink buffer: both passes run one task per
+  // network, walking that network's gateways in order.
+  const std::size_t nets = sc.net_task.size() - 1;
+  sc.own_count.assign(tx_count, 0);
+  parallel_for(
+      nets,
+      [&](std::size_t n) {
+        for (std::uint32_t t = sc.net_task[n]; t < sc.net_task[n + 1]; ++t) {
+          const auto& yield = *sc.yield_ptr[t];
+          for (const std::uint32_t e : yield.own_events) {
+            ++sc.own_count[yield.event_tx_index[e]];
+          }
         }
-      }
-    }
-  }
-  sc.own_offset.resize(txs.size() + 1);
+      },
+      threads);
+  sc.own_offset.resize(std::size_t{tx_count} + 1);
   sc.own_offset[0] = 0;
-  for (std::size_t i = 0; i < txs.size(); ++i) {
+  for (std::uint32_t i = 0; i < tx_count; ++i) {
     sc.own_offset[i + 1] = sc.own_offset[i] + sc.own_count[i];
   }
   // Growth-only: every slot in [0, own_offset[n]) is written by the fill
   // pass below before the classify pass reads it, so neither shrinking nor
   // zero-initializing a reused prefix buys anything.
-  if (sc.own_flat.size() < sc.own_offset[txs.size()]) {
-    sc.own_flat.resize(sc.own_offset[txs.size()]);
+  if (sc.own_flat.size() < sc.own_offset[tx_count]) {
+    sc.own_flat.resize(sc.own_offset[tx_count]);
   }
   // Reuse own_count as the per-packet fill cursor (relative to the offset).
   std::fill(sc.own_count.begin(), sc.own_count.end(), 0);
-  std::size_t t = 0;
-  for (auto& network : deployment_.networks()) {
-    std::vector<UplinkRecord>& uplinks = sc.uplinks;
-    uplinks.clear();
-    for ([[maybe_unused]] auto& gw : network.gateways()) {
-      const auto& yield = *sc.yield_ptr[t++];
-      for (std::size_t e = 0; e < yield.outcomes.size(); ++e) {
-        const std::size_t i = yield.event_tx_index[e];
-        if (txs[i].network != network.id()) continue;  // foreign at this GW
-        sc.own_flat[sc.own_offset[i] + sc.own_count[i]++] = yield.outcomes[e];
-      }
-      uplinks.insert(uplinks.end(), yield.uplinks.begin(), yield.uplinks.end());
-    }
-    network.server().ingest(uplinks);
-  }
+  if (sc.uplinks.size() < nets) sc.uplinks.resize(nets);
+  parallel_for(
+      nets,
+      [&](std::size_t n) {
+        std::vector<UplinkRecord>& uplinks = sc.uplinks[n];
+        uplinks.clear();
+        for (std::uint32_t t = sc.net_task[n]; t < sc.net_task[n + 1]; ++t) {
+          const auto& yield = *sc.yield_ptr[t];
+          for (const std::uint32_t e : yield.own_events) {
+            const std::uint32_t i = yield.event_tx_index[e];
+            sc.own_flat[sc.own_offset[i] + sc.own_count[i]++] =
+                yield.outcomes[e];
+          }
+          uplinks.insert(uplinks.end(), yield.uplinks.begin(),
+                         yield.uplinks.end());
+        }
+        deployment_.networks()[n].server().ingest(uplinks);
+      },
+      threads);
 
   // Classify every offered packet against its own network's gateways.
   // Counters are flat vectors indexed by a dense network index (network
@@ -325,8 +369,8 @@ WindowResult ScenarioRunner::run_window(const std::vector<Transmission>& txs) {
     sc.served.emplace_back();
     return sc.net_ids.size() - 1;
   };
-  result.fates.reserve(txs.size());
-  for (std::size_t i = 0; i < txs.size(); ++i) {
+  result.fates.reserve(tx_count);
+  for (std::uint32_t i = 0; i < tx_count; ++i) {
     PacketFate fate = classify_packet(
         txs[i], std::span<const RxOutcome>(
                     sc.own_flat.data() + sc.own_offset[i],

@@ -78,7 +78,9 @@ struct ShardWindowStats {
 // capacity across windows instead of being reallocated every window.
 struct GatewayYield {
   std::vector<RxOutcome> outcomes;
-  std::vector<std::size_t> event_tx_index;
+  std::vector<std::uint32_t> event_tx_index;  // event -> index in txs
+  std::vector<std::uint32_t> own_events;      // events of the gateway's network
+  std::size_t boundary_events = 0;            // events whose tx is homed away
   std::vector<UplinkRecord> uplinks;
 };
 
@@ -142,37 +144,45 @@ class ScenarioRunner {
     std::vector<std::uint64_t> tx_mask;    // tx index -> candidate columns
     std::vector<std::vector<std::uint32_t>> gw_txs;  // per-column tx lists
                                                      // (> 64-column path)
-    std::vector<std::size_t> tasks;  // global task indices homed here
-    bool use_mask = true;            // slice fits the 64-column mask path
-    std::size_t boundary_rows = 0;   // this window's count, summed after
-                                     // the prepass in shard order
+    std::vector<std::uint32_t> tasks;  // global task indices homed here
+    bool use_mask = true;              // slice fits the 64-column mask path
+    std::size_t boundary_rows = 0;     // this window's count, summed after
+                                       // the prepass in shard order
     Engine engine;  // shard-local queue; publishes yields at the barrier
   };
 
   struct RunScratch {
     std::vector<ShardScratch> shards;
+    // Per-transmission columns resolved once per window: the directory key
+    // every slice indexes its node state by, and the home shard of the
+    // transmitter's position.
+    std::vector<NodeKey> tx_key;
+    std::vector<std::uint32_t> tx_home;
     std::vector<std::uint32_t> task_col;    // task index -> column in slice
     std::vector<std::uint32_t> task_shard;  // task index -> home shard
     std::vector<std::uint32_t> task_slot;   // task index -> slot in shard
+    // Task range [net_task[n], net_task[n + 1]) of deployment network n.
+    std::vector<std::uint32_t> net_task;
     // Per-shard staging slots for the window's yields, plus the publish
     // pointers the barrier exchange fills (global task index -> staged
     // yield). Pointer publication replaces the old move-into-a-local-vector
     // exchange so the per-task buffers persist window to window.
     std::vector<std::vector<GatewayYield>> staged;
     std::vector<const GatewayYield*> yield_ptr;
-    // The window's shared transmission columns plus per-task candidate
-    // index / fading / power buffers consumed by the batched kernels
-    // (phy/batch_kernels.hpp). No RxEvent list is materialized.
+    // The window's shared transmission columns plus per-task fading /
+    // power buffers consumed by the batched kernels (phy/batch_kernels.hpp);
+    // each task's candidate indices live in its yield's event_tx_index. No
+    // RxEvent list is materialized.
     WindowTxTable table;
-    std::vector<std::vector<std::uint32_t>> task_idx;
     std::vector<std::vector<double>> task_fade;
     std::vector<std::vector<Dbm>> task_power;
     // Flat per-packet own-network outcome gather (count / prefix / fill).
     std::vector<std::uint32_t> own_count;
     std::vector<std::uint32_t> own_offset;
     std::vector<RxOutcome> own_flat;
-    // Per-network uplink gather handed to NetworkServer::ingest.
-    std::vector<UplinkRecord> uplinks;
+    // Per-network uplink gathers handed to NetworkServer::ingest (one per
+    // deployment network, so the networks ingest concurrently).
+    std::vector<std::vector<UplinkRecord>> uplinks;
     // Flat per-network classification counters (dense network index).
     std::vector<NetworkId> net_ids;
     std::vector<std::size_t> offered;

@@ -167,7 +167,7 @@ std::vector<WindowTrace> emulated_windows(const CaseParams& params,
     auto& caches = deployment.shard_caches(shards);
     for (const NodeId id : sent) {
       for (std::size_t s = 0; s < caches.shard_count(); ++s) {
-        if (caches.slice(s).row_of(id) == LinkCache::kInvalidRow) {
+        if (caches.row_of(s, id) == LinkCache::kInvalidRow) {
           ++trace.unresident;
         }
       }
@@ -251,7 +251,8 @@ std::map<NodeId, std::set<GatewayId>> monolithic_candidates(
   }
   std::map<NodeId, std::set<GatewayId>> candidates;
   for (const auto& tx : world.txs) {
-    const std::uint32_t row = cache.ensure_row(tx.node, tx.origin);
+    const std::uint32_t row = cache.ensure_row(
+        caches.directory().intern(tx.node), tx.node, tx.origin);
     auto& set = candidates[tx.node];
     for (const std::uint32_t col :
          cache.candidate_columns(row, floor, kMaxTxPower)) {
@@ -303,7 +304,7 @@ TEST(ShardDeterminism, BoundaryAudibilityCoversEveryCandidateShard) {
               if (!gws.contains(gw.id())) continue;
               // This gateway is a candidate for the node, so the node must
               // be resident in the gateway's shard slice.
-              if (caches.slice(home).row_of(node) == LinkCache::kInvalidRow) {
+              if (caches.row_of(home, node) == LinkCache::kInvalidRow) {
                 return "node " + std::to_string(node) +
                        " missing from shard " + std::to_string(home) +
                        " holding candidate gateway " + std::to_string(gw.id());

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <type_traits>
 
 #include "common/types.hpp"
@@ -179,6 +180,17 @@ TEST(Units, NoiseFloorIsConstexprForNamedBandwidths) {
   // Doubling the bandwidth raises the floor by ~3 dB.
   EXPECT_NEAR((nf250 - nf125).value(), 3.01, 1e-6);
   EXPECT_NEAR((nf500 - nf250).value(), 3.01, 1e-6);
+}
+
+// ---- 32-bit index columns ----------------------------------------------
+
+// The 32-bit index columns reserve all-ones as their sentinel, so the
+// largest index they accept is one below it.
+TEST(Index32, NarrowingThrowsAtTheSentinel) {
+  EXPECT_EQ(to_index32(0), 0u);
+  EXPECT_EQ(to_index32(0xFFFFFFFEULL), 0xFFFFFFFEu);
+  EXPECT_THROW((void)to_index32(0xFFFFFFFFULL), std::length_error);
+  EXPECT_THROW((void)to_index32(0x100000000ULL), std::length_error);
 }
 
 }  // namespace

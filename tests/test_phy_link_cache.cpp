@@ -42,6 +42,25 @@ std::vector<Tx> test_nodes() {
           {42, Point{Meters{-900.0}, Meters{400.0}}}};
 }
 
+// Caches address transmitters by NodeDirectory key. One directory serves
+// every cache here, as one serves every slice of a ShardedLinkCache: keys
+// are only indices.
+NodeDirectory& directory() {
+  static NodeDirectory dir;
+  return dir;
+}
+
+std::uint32_t ensure_row(LinkCache& cache, NodeId node, const Point& origin) {
+  return cache.ensure_row(directory().intern(node), node, origin);
+}
+
+std::uint32_t ensure_row_if_audible(LinkCache& cache, NodeId node,
+                                    const Point& origin, Dbm floor,
+                                    Dbm power_bound) {
+  return cache.ensure_row_if_audible(directory().intern(node), node, origin,
+                                     floor, power_bound);
+}
+
 void upsert(LinkCache& cache, const Site& site, std::uint64_t epoch = 0) {
   cache.upsert_gateway(site.id, kRxKeyBase + site.id, site.position, epoch,
                        toy_antenna_gain);
@@ -63,16 +82,16 @@ TEST(LinkCache, IncrementalAddMatchesFromScratchRebuild) {
   // Interleave: one gateway, two rows, the remaining gateways (which must
   // backfill existing rows), then the remaining rows.
   upsert(incremental, sites[0]);
-  incremental.ensure_row(nodes[0].node, nodes[0].origin);
-  incremental.ensure_row(nodes[1].node, nodes[1].origin);
+  ensure_row(incremental, nodes[0].node, nodes[0].origin);
+  ensure_row(incremental, nodes[1].node, nodes[1].origin);
   upsert(incremental, sites[1]);
   upsert(incremental, sites[2]);
-  incremental.ensure_row(nodes[2].node, nodes[2].origin);
-  incremental.ensure_row(nodes[3].node, nodes[3].origin);
+  ensure_row(incremental, nodes[2].node, nodes[2].origin);
+  ensure_row(incremental, nodes[3].node, nodes[3].origin);
 
   // From scratch: all gateways first, then all rows.
   for (const auto& site : sites) upsert(rebuilt, site);
-  for (const auto& tx : nodes) rebuilt.ensure_row(tx.node, tx.origin);
+  for (const auto& tx : nodes) ensure_row(rebuilt, tx.node, tx.origin);
 
   ASSERT_EQ(incremental.column_count(), rebuilt.column_count());
   ASSERT_EQ(incremental.row_count(), rebuilt.row_count());
@@ -98,8 +117,8 @@ TEST(LinkCache, EnsureRowIsIdempotent) {
   LinkCache cache(model);
   upsert(cache, test_sites()[0]);
   const auto tx = test_nodes()[0];
-  const auto row = cache.ensure_row(tx.node, tx.origin);
-  EXPECT_EQ(cache.ensure_row(tx.node, tx.origin), row);
+  const auto row = ensure_row(cache, tx.node, tx.origin);
+  EXPECT_EQ(ensure_row(cache, tx.node, tx.origin), row);
   EXPECT_EQ(cache.row_count(), 1u);
 }
 
@@ -114,13 +133,13 @@ TEST(LinkCache, ReusedNodeIdWithNewOriginIsRecomputedInPlace) {
   const NodeId node = 1'000'123;  // virtual id, reused across positions
   const Point p1{Meters{100.0}, Meters{100.0}};
   const Point p2{Meters{2000.0}, Meters{-500.0}};
-  const auto row = cache.ensure_row(node, p1);
-  ASSERT_EQ(cache.ensure_row(node, p2), row);
+  const auto row = ensure_row(cache, node, p1);
+  ASSERT_EQ(ensure_row(cache, node, p2), row);
 
   // The recomputed row must equal a cache that only ever saw p2.
   LinkCache fresh(fresh_model);
   upsert(fresh, site);
-  fresh.ensure_row(node, p2);
+  ensure_row(fresh, node, p2);
   const auto got = cache.gains(cache.column_of(site.id))[row];
   const auto want = fresh.gains(fresh.column_of(site.id))[0];
   EXPECT_DOUBLE_EQ(got.path_loss.value(), want.path_loss.value());
@@ -133,7 +152,7 @@ TEST(LinkCache, AntennaEpochRefreshesGainsButNotPathLoss) {
   const auto site = test_sites()[0];
   upsert(cache, site, 0);
   const auto tx = test_nodes()[0];
-  const auto row = cache.ensure_row(tx.node, tx.origin);
+  const auto row = ensure_row(cache, tx.node, tx.origin);
   const auto col = cache.column_of(site.id);
   const LinkGain before = cache.gains(col)[row];
 
@@ -173,7 +192,7 @@ TEST(LinkCache, CandidateListsAreConservativeSuperset) {
   for (int k = 0; k < 8; ++k) {
     const double d = 100.0 * std::pow(4.0, k);  // 100 m .. ~1638 km
     rows.push_back(
-        cache.ensure_row(100 + k, Point{Meters{d}, Meters{0.0}}));
+        ensure_row(cache, 100 + k, Point{Meters{d}, Meters{0.0}}));
   }
 
   const Dbm floor = noise_floor_dbm(kLoRaBandwidth125k) - Db{10.0};
@@ -220,14 +239,14 @@ TEST(LinkCache, IncrementalCandidatesMatchRebuild) {
 
   const Point near{Meters{200.0}, Meters{0.0}};
   const Point far{Meters{3.0e6}, Meters{0.0}};
-  warm.ensure_row(1, near);
+  ensure_row(warm, 1, near);
   (void)warm.candidate_columns(0, floor, power_bound);  // build layout
-  warm.ensure_row(2, far);                              // incremental append
-  warm.ensure_row(3, near);
+  ensure_row(warm, 2, far);                             // incremental append
+  ensure_row(warm, 3, near);
 
-  cold.ensure_row(1, near);
-  cold.ensure_row(2, far);
-  cold.ensure_row(3, near);
+  ensure_row(cold, 1, near);
+  ensure_row(cold, 2, far);
+  ensure_row(cold, 3, near);
 
   for (std::uint32_t row = 0; row < 3; ++row) {
     const auto a = warm.candidate_columns(row, floor, power_bound);
@@ -296,15 +315,15 @@ void check_candidates_after_every_mutation(std::uint32_t gateways) {
   };
 
   // Rows near the grid and one out of everyone's reach.
-  cache.ensure_row(1, Point{Meters{100.0}, Meters{0.0}});
-  cache.ensure_row(2, Point{Meters{1300.0}, Meters{300.0}});
-  cache.ensure_row(3, Point{Meters{3.0e6}, Meters{0.0}});
+  ensure_row(cache, 1, Point{Meters{100.0}, Meters{0.0}});
+  ensure_row(cache, 2, Point{Meters{1300.0}, Meters{300.0}});
+  ensure_row(cache, 3, Point{Meters{3.0e6}, Meters{0.0}});
   expect_candidates_match("initial rows");
 
-  cache.ensure_row(4, Point{Meters{2900.0}, Meters{250.0}});
+  ensure_row(cache, 4, Point{Meters{2900.0}, Meters{250.0}});
   expect_candidates_match("row add");
 
-  cache.ensure_row(3, Point{Meters{-350.0}, Meters{880.0}});
+  ensure_row(cache, 3, Point{Meters{-350.0}, Meters{880.0}});
   expect_candidates_match("same-id origin move");
 
   upsert(cache, Site{gateways + 1, Point{Meters{-300.0}, Meters{900.0}}});
@@ -343,16 +362,16 @@ TEST(LinkCache, RejectionMemoIsKeyedByTheAudibilityBound) {
   const Dbm noise = noise_floor_dbm(kLoRaBandwidth125k);
   const Dbm strict = noise + Db{40.0};
   const Dbm lenient = noise - Db{10.0};
-  EXPECT_EQ(cache.ensure_row_if_audible(9, origin, strict, Dbm{14.0}),
+  EXPECT_EQ(ensure_row_if_audible(cache, 9, origin, strict, Dbm{14.0}),
             LinkCache::kInvalidRow);
-  EXPECT_EQ(cache.ensure_row_if_audible(9, origin, strict, Dbm{14.0}),
+  EXPECT_EQ(ensure_row_if_audible(cache, 9, origin, strict, Dbm{14.0}),
             LinkCache::kInvalidRow);
-  EXPECT_NE(cache.ensure_row_if_audible(9, origin, strict, Dbm{64.0}),
+  EXPECT_NE(ensure_row_if_audible(cache, 9, origin, strict, Dbm{64.0}),
             LinkCache::kInvalidRow);
 
-  EXPECT_EQ(cache.ensure_row_if_audible(10, origin, strict, Dbm{14.0}),
+  EXPECT_EQ(ensure_row_if_audible(cache, 10, origin, strict, Dbm{14.0}),
             LinkCache::kInvalidRow);
-  EXPECT_NE(cache.ensure_row_if_audible(10, origin, lenient, Dbm{14.0}),
+  EXPECT_NE(ensure_row_if_audible(cache, 10, origin, lenient, Dbm{14.0}),
             LinkCache::kInvalidRow);
   EXPECT_EQ(cache.row_count(), 2u);
 }
@@ -363,12 +382,47 @@ TEST(LinkCache, CandidateMaskRejectsMoreThan64Columns) {
   for (GatewayId id = 0; id < 64; ++id) {
     upsert(cache, Site{id, Point{Meters{10.0 * id}, Meters{0.0}}});
   }
-  const auto row = cache.ensure_row(1, Point{Meters{0.0}, Meters{0.0}});
+  const auto row = ensure_row(cache, 1, Point{Meters{0.0}, Meters{0.0}});
   const Dbm floor = noise_floor_dbm(kLoRaBandwidth125k);
   EXPECT_NE(cache.candidate_mask(row, floor, Dbm{14.0}), 0u);
   upsert(cache, Site{64, Point{Meters{640.0}, Meters{0.0}}});
   EXPECT_THROW((void)cache.candidate_mask(row, floor, Dbm{14.0}),
                std::logic_error);
+}
+
+TEST(NodeDirectory, InternsDenseKeysInFirstSeenOrder) {
+  NodeDirectory dir;
+  EXPECT_EQ(dir.find(500), NodeDirectory::kInvalidKey);
+  EXPECT_EQ(dir.intern(500), 0u);
+  EXPECT_EQ(dir.intern(7), 1u);
+  EXPECT_EQ(dir.intern(500), 0u);  // idempotent
+  EXPECT_EQ(dir.find(7), 1u);
+  EXPECT_EQ(dir.intern(9), 2u);
+}
+
+// Rows are looked up by directory key; a key the slice never probed, or
+// only rejected, has no row. Through ShardedLinkCache::row_of, an id the
+// directory never saw has none either.
+TEST(LinkCache, RowOfGoesThroughTheDirectoryKey) {
+  ChannelModel model;
+  ShardedLinkCache caches(model);
+  caches.reset(2);
+  upsert(caches.slice(0), Site{1, Point{Meters{0.0}, Meters{0.0}}});
+  upsert(caches.slice(1), Site{2, Point{Meters{1.0e6}, Meters{0.0}}});
+  const Point near{Meters{100.0}, Meters{0.0}};
+  const Dbm floor = noise_floor_dbm(kLoRaBandwidth125k);
+  const NodeKey key = caches.directory().intern(77);
+  const auto row =
+      caches.slice(0).ensure_row_if_audible(key, 77, near, floor, Dbm{14.0});
+  ASSERT_NE(row, LinkCache::kInvalidRow);
+  EXPECT_EQ(caches.slice(1).ensure_row_if_audible(key, 77, near, floor,
+                                                  Dbm{14.0}),
+            LinkCache::kInvalidRow);
+  EXPECT_EQ(caches.row_of(0, 77), row);
+  EXPECT_EQ(caches.slice(0).row_of(key), row);
+  EXPECT_EQ(caches.row_of(1, 77), LinkCache::kInvalidRow);
+  EXPECT_EQ(caches.row_of(0, 78), LinkCache::kInvalidRow);
+  EXPECT_EQ(caches.slice(0).row_of(key + 100), LinkCache::kInvalidRow);
 }
 
 }  // namespace

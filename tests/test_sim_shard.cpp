@@ -84,6 +84,15 @@ struct WideFixture {
   [[nodiscard]] Dbm prune_floor() const {
     return noise_floor_dbm(kLoRaBandwidth125k) - RunOptions{}.prune_margin;
   }
+
+  // The runner's prepass probe: resolve the node's directory key, then
+  // register it in slice `shard` only if it is audible there.
+  std::uint32_t probe(ShardedLinkCache& caches, std::size_t shard,
+                      NodeId node, const Point& origin) {
+    return caches.slice(shard).ensure_row_if_audible(
+        caches.directory().intern(node), node, origin, prune_floor(),
+        kMaxTxPower);
+  }
 };
 
 TEST(ShardMembership, NodeAudibleInOneShardOnly) {
@@ -91,12 +100,8 @@ TEST(ShardMembership, NodeAudibleInOneShardOnly) {
   auto& caches = f.deployment.shard_caches(2);
   const NodeId node = 1000;
   const Point near_west{Meters{50100.0}, Meters{500.0}};
-  EXPECT_NE(caches.slice(0).ensure_row_if_audible(node, near_west,
-                                                  f.prune_floor(), kMaxTxPower),
-            LinkCache::kInvalidRow);
-  EXPECT_EQ(caches.slice(1).ensure_row_if_audible(node, near_west,
-                                                  f.prune_floor(), kMaxTxPower),
-            LinkCache::kInvalidRow);
+  EXPECT_NE(f.probe(caches, 0, node, near_west), LinkCache::kInvalidRow);
+  EXPECT_EQ(f.probe(caches, 1, node, near_west), LinkCache::kInvalidRow);
 }
 
 TEST(ShardMembership, BoundaryNodeAudibleInAllShards) {
@@ -105,12 +110,8 @@ TEST(ShardMembership, BoundaryNodeAudibleInAllShards) {
   const NodeId node = 1001;
   // Mid-border: ~1 km from both straddling gateways, one per stripe.
   const Point border{Meters{100000.0}, Meters{500.0}};
-  EXPECT_NE(caches.slice(0).ensure_row_if_audible(node, border,
-                                                  f.prune_floor(), kMaxTxPower),
-            LinkCache::kInvalidRow);
-  EXPECT_NE(caches.slice(1).ensure_row_if_audible(node, border,
-                                                  f.prune_floor(), kMaxTxPower),
-            LinkCache::kInvalidRow);
+  EXPECT_NE(f.probe(caches, 0, node, border), LinkCache::kInvalidRow);
+  EXPECT_NE(f.probe(caches, 1, node, border), LinkCache::kInvalidRow);
 }
 
 TEST(ShardMembership, DeadZoneNodeAudibleNowhere) {
@@ -119,17 +120,11 @@ TEST(ShardMembership, DeadZoneNodeAudibleNowhere) {
   const NodeId node = 1002;
   // ~49 km past the easternmost gateway.
   const Point dead{Meters{199000.0}, Meters{500.0}};
-  EXPECT_EQ(caches.slice(0).ensure_row_if_audible(node, dead, f.prune_floor(),
-                                                  kMaxTxPower),
-            LinkCache::kInvalidRow);
-  EXPECT_EQ(caches.slice(1).ensure_row_if_audible(node, dead, f.prune_floor(),
-                                                  kMaxTxPower),
-            LinkCache::kInvalidRow);
+  EXPECT_EQ(f.probe(caches, 0, node, dead), LinkCache::kInvalidRow);
+  EXPECT_EQ(f.probe(caches, 1, node, dead), LinkCache::kInvalidRow);
   // The rejection is memoized: same origin and structure, same answer.
-  EXPECT_EQ(caches.slice(1).ensure_row_if_audible(node, dead, f.prune_floor(),
-                                                  kMaxTxPower),
-            LinkCache::kInvalidRow);
-  EXPECT_EQ(caches.slice(1).row_of(node), LinkCache::kInvalidRow);
+  EXPECT_EQ(f.probe(caches, 1, node, dead), LinkCache::kInvalidRow);
+  EXPECT_EQ(caches.row_of(1, node), LinkCache::kInvalidRow);
 }
 
 TEST(ShardMembership, NewGatewayInvalidatesRejectionMemo) {
@@ -138,9 +133,7 @@ TEST(ShardMembership, NewGatewayInvalidatesRejectionMemo) {
   const NodeId node = 1003;
   const Point dead{Meters{199000.0}, Meters{500.0}};
   LinkCache& east = caches.slice(1);
-  ASSERT_EQ(east.ensure_row_if_audible(node, dead, f.prune_floor(),
-                                       kMaxTxPower),
-            LinkCache::kInvalidRow);
+  ASSERT_EQ(f.probe(caches, 1, node, dead), LinkCache::kInvalidRow);
   const std::uint64_t epoch_before = east.structure_epoch();
   // A gateway appears next to the dead zone; the memo must not mask it.
   auto& gw = f.network->add_gateway(f.deployment.next_gateway_id(),
@@ -150,10 +143,7 @@ TEST(ShardMembership, NewGatewayInvalidatesRejectionMemo) {
       standard_plan(f.deployment.spectrum(), 0).channels});
   auto& refreshed = f.deployment.shard_caches(2);
   EXPECT_GT(refreshed.slice(1).structure_epoch(), epoch_before);
-  EXPECT_NE(refreshed.slice(1).ensure_row_if_audible(node, dead,
-                                                     f.prune_floor(),
-                                                     kMaxTxPower),
-            LinkCache::kInvalidRow);
+  EXPECT_NE(f.probe(refreshed, 1, node, dead), LinkCache::kInvalidRow);
 }
 
 TEST(ShardMembership, MovedOriginReprobesRejectedNode) {
@@ -161,16 +151,11 @@ TEST(ShardMembership, MovedOriginReprobesRejectedNode) {
   auto& caches = f.deployment.shard_caches(2);
   const NodeId node = 1004;
   const Point dead{Meters{199000.0}, Meters{500.0}};
-  LinkCache& east = caches.slice(1);
-  ASSERT_EQ(east.ensure_row_if_audible(node, dead, f.prune_floor(),
-                                       kMaxTxPower),
-            LinkCache::kInvalidRow);
+  ASSERT_EQ(f.probe(caches, 1, node, dead), LinkCache::kInvalidRow);
   // The same virtual id reappears near a gateway (id reuse by traffic
   // generators): the stale rejection must not stick.
   const Point near_east{Meters{150100.0}, Meters{500.0}};
-  EXPECT_NE(east.ensure_row_if_audible(node, near_east, f.prune_floor(),
-                                       kMaxTxPower),
-            LinkCache::kInvalidRow);
+  EXPECT_NE(f.probe(caches, 1, node, near_east), LinkCache::kInvalidRow);
 }
 
 TEST(ShardRunner, WideWorldDigestIsShardInvariant) {
