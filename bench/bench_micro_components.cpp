@@ -10,6 +10,7 @@
 #include <chrono>
 #include <numeric>
 
+#include "baselines/lmac.hpp"
 #include "baselines/standard_lorawan.hpp"
 #include "core/ga_solver.hpp"
 #include "harness.hpp"
@@ -139,6 +140,58 @@ void BM_CpEvaluate(benchmark::State& state) {
                           static_cast<std::int64_t>(inst.nodes.size()));
 }
 BENCHMARK(BM_CpEvaluate)->Unit(benchmark::kMicrosecond);
+
+// LMAC carrier-sense shaping of the fig13 12k-user window (world seed 905:
+// 15 gateways and 144 nodes x 83 emulated users at 0.5% airtime, the
+// fig13 node-side tuning), in ms per window. Each iteration shapes a fresh
+// copy of the offered schedule from the same shape stream.
+void BM_LmacShape(benchmark::State& state) {
+  constexpr std::uint64_t kWorldSeed = 905;
+  constexpr std::size_t kPhysicalNodes = 144;
+  constexpr std::size_t kUsersPerNode = 12000 / kPhysicalNodes;
+  constexpr double kUserUtilization = 0.005;
+  ChannelModelConfig channel;
+  channel.shadowing_sigma_db = Db{3.0};
+  channel.fast_fading_sigma_db = Db{0.8};
+  channel.seed = kWorldSeed;
+  Deployment deployment{Region{Meters{2100}, Meters{1600}}, spectrum_4m8(),
+                        channel};
+  auto& network = deployment.add_network("op");
+  Rng rng(kWorldSeed);
+  deployment.place_gateways(network, 15, default_profile(), rng);
+  deployment.place_nodes(network, kPhysicalNodes, rng);
+  StandardLorawanOptions node_side;
+  node_side.spread_gateways_across_plans = false;
+  node_side.adr.installation_margin = Db{10.0};
+  node_side.adr.min_tx_power = Dbm{8.0};
+  const LmacPolicy policy(LmacOptions{}, node_side);
+  policy.configure(deployment, network, rng);
+
+  PacketIdSource ids;
+  Rng traffic_rng(1);
+  std::vector<Transmission> txs;
+  NodeId virtual_base = 1'000'000;
+  for (auto& node : network.nodes()) {
+    const double rate =
+        kUserUtilization / time_on_air(node.tx_params(), 10).value();
+    auto node_txs = emulated_user_traffic({&node}, kUsersPerNode, Seconds{30.0},
+                                          rate, traffic_rng, ids, virtual_base);
+    virtual_base += kUsersPerNode;
+    txs.insert(txs.end(), node_txs.begin(), node_txs.end());
+  }
+  sort_by_start(txs);
+  const Rng shape_rng = Rng(1).substream("mac-shape");
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<Transmission> offered = txs;
+    Rng draws = shape_rng;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(policy.shape_window(std::move(offered), draws));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(txs.size()));
+}
+BENCHMARK(BM_LmacShape)->Unit(benchmark::kMillisecond)->Iterations(5);
 
 // ---- parallel-speedup table (threads x {GA solve, 1k-node window}) --------
 // Results are bit-identical at every thread count (see docs/parallelism.md);

@@ -7,11 +7,15 @@
 // grid-aligned scenario never does: several partially-overlapping lanes in
 // one frequency bucket (off-grid centres, mixed 125/250/500 kHz
 // bandwidths), transmitters exactly sense_range apart, equal start times,
-// deferrals clamped at the deadline, and max_defer = 0. The empty window,
-// a last-bit boundary on the packet's own duration, and one fig13
-// 12k-user window are pinned separately.
+// deferrals clamped at the deadline, and max_defer = 0. Single lanes whose
+// length sits on either side of the 8-entry block search's boundaries,
+// hidden terminals inside runs of time overlaps, a caller Rng with a
+// cached normal pending, the empty window, a last-bit boundary on the
+// packet's own duration, and one fig13 12k-user window are pinned
+// separately.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -19,6 +23,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/lmac.hpp"
@@ -224,6 +229,137 @@ TEST(LmacDifferential, LanesEqualReferenceAcrossRandomWorlds) {
   EXPECT_GE(clamped, 20);
   EXPECT_GE(zero_defer, 20);
   EXPECT_GE(deferred, 50);
+}
+
+// A burst on one grid channel: `count` transmissions start in [0, 10 ms),
+// each still on the air when a last one starts at 10 ms (the shortest
+// airtime, SF7 at 5 bytes, is longer), so the last packet scans a lane of
+// exactly `count` entries. Transmitters sit on a line at multiples of half
+// the sense range, so some hear the last packet's position and some do
+// not, in an order the seed picks.
+std::vector<Transmission> single_lane_burst(std::size_t count,
+                                            std::uint64_t seed,
+                                            const LmacOptions& options) {
+  Rng rng(seed);
+  const double half = options.sense_range.value() / 2.0;
+  std::vector<Transmission> txs(count + 1);
+  for (std::size_t i = 0; i <= count; ++i) {
+    Transmission& tx = txs[i];
+    tx.id = static_cast<PacketId>(i + 1);
+    tx.channel.center = Hz{916.9e6};
+    tx.params.sf = static_cast<SpreadingFactor>(rng.uniform_int(7, 12));
+    tx.payload_bytes = static_cast<std::uint32_t>(rng.uniform_int(5, 30));
+    tx.origin = Point{Meters{half * static_cast<double>(rng.uniform_int(0, 4))},
+                      Meters{0.0}};
+    tx.start = i == count ? Seconds{0.01} : Seconds{rng.uniform(0.0, 0.01)};
+  }
+  txs.back().origin = Point{};
+  return txs;
+}
+
+TEST(LmacDifferential, SingleLanesAroundBlockBoundaries) {
+  LmacOptions options;
+  options.sense_range = Meters{1000.0};
+  constexpr std::array<std::size_t, 7> kLengths = {7, 8, 9, 63, 64, 65, 300};
+  for (const std::size_t length : kLengths) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const auto txs = single_lane_burst(length, seed, options);
+      std::vector<Transmission> reference;
+      const auto failure = compare(txs, options, Rng(seed + 100), &reference);
+      ASSERT_FALSE(failure.has_value())
+          << "lane of " << length << ", seed " << seed << ": " << *failure;
+      // The last packet (from the origin) met the lane and deferred.
+      const auto last = std::find_if(
+          reference.begin(), reference.end(), [&](const Transmission& tx) {
+            return tx.id == static_cast<PacketId>(length + 1);
+          });
+      ASSERT_NE(last, reference.end());
+      EXPECT_GT(last->start, Seconds{0.01});
+    }
+  }
+}
+
+TEST(LmacDifferential, HiddenTerminalsInsideRunsOfOverlaps) {
+  // One lane of 40 equal transmissions, 0.1 ms apart, so every one still
+  // overlaps the next packets' windows. A fixed pattern puts hidden
+  // terminals (2 km from the origin, 1 km sense range) between audible
+  // ones (at the origin) inside those runs, across block boundaries and in
+  // the scalar tail.
+  constexpr std::string_view kPattern =
+      "AHAAHHAHAAAHAHHHAAHAAAAHHAHAHAAHHHAAHAHA";
+  LmacOptions options;
+  options.sense_range = Meters{1000.0};
+  for (const double gap : {0.0, 0.01}) {
+    options.min_gap = Seconds{gap};
+    options.max_gap = Seconds{2.0 * gap};
+    std::vector<Transmission> txs(kPattern.size() + 1);
+    for (std::size_t i = 0; i < txs.size(); ++i) {
+      txs[i].id = static_cast<PacketId>(i + 1);
+      txs[i].channel.center = Hz{916.9e6};
+      txs[i].params.sf = SpreadingFactor::kSF9;
+      txs[i].start = Seconds{1e-4 * static_cast<double>(i)};
+      const bool hidden = i < kPattern.size() && kPattern[i] == 'H';
+      txs[i].origin = Point{Meters{hidden ? 2000.0 : 0.0}, Meters{0.0}};
+    }
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const auto failure = compare(txs, options, Rng(seed));
+      ASSERT_FALSE(failure.has_value())
+          << "gap " << gap << ", seed " << seed << ": " << *failure;
+    }
+  }
+}
+
+TEST(LmacDifferential, CachedNormalSurvivesShaping) {
+  // Shaping draws only uniforms: a Box-Muller sample the caller left
+  // cached is still the next normal(), and the stream after it is the
+  // reference's. Rng copies drop the cached sample, so both generators are
+  // built and primed in place rather than copied.
+  LmacOptions options;
+  options.sense_range = Meters{1000.0};
+  const auto txs = single_lane_burst(65, 9, options);
+  Rng reference_rng(77);
+  Rng lane_rng(77);
+  EXPECT_EQ(reference_rng.normal(), lane_rng.normal());
+  const auto reference =
+      test::reference_lmac_shape_window(txs, reference_rng, options);
+  const auto shaped = LmacPolicy(options).shape_window(txs, lane_rng);
+  ASSERT_EQ(reference.size(), shaped.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(reference[i].id, shaped[i].id);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reference[i].start.value()),
+              std::bit_cast<std::uint64_t>(shaped[i].start.value()));
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reference_rng.normal()),
+            std::bit_cast<std::uint64_t>(lane_rng.normal()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reference_rng.uniform()),
+            std::bit_cast<std::uint64_t>(lane_rng.uniform()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reference_rng.normal()),
+            std::bit_cast<std::uint64_t>(lane_rng.normal()));
+}
+
+TEST(LmacDifferential, ManyDistinctOriginsEqualReference) {
+  // More distinct transmitter positions than the hearing memo tabulates
+  // (2048), so every hearing test computes the distance afresh.
+  Rng rng(31);
+  LmacOptions options;
+  options.sense_range = Meters{300.0};
+  std::vector<Transmission> txs(2500);
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    txs[i].id = static_cast<PacketId>(i + 1);
+    txs[i].channel.center = Hz{916.9e6 + 200e3 * static_cast<double>(i % 2)};
+    txs[i].params.sf = static_cast<SpreadingFactor>(rng.uniform_int(7, 10));
+    txs[i].origin = Point{Meters{rng.uniform(0.0, 1000.0)},
+                          Meters{rng.uniform(0.0, 1000.0)}};
+    txs[i].start = Seconds{rng.uniform(0.0, 20.0)};
+  }
+  std::vector<Transmission> reference;
+  const auto failure = compare(txs, options, Rng(5), &reference);
+  ASSERT_FALSE(failure.has_value()) << *failure;
+  std::size_t moved = 0;
+  for (const Transmission& tx : reference) {
+    if (tx.start != txs[tx.id - 1].start) ++moved;
+  }
+  EXPECT_GT(moved, txs.size() / 10);
 }
 
 TEST(LmacDifferential, EmptyWindowDrawsNothing) {
